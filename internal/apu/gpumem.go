@@ -30,6 +30,19 @@ type GPUMemory struct {
 	readHits     *stats.Counter
 	readMisses   *stats.Counter
 	uncombinedWr *stats.Counter
+
+	// freeMisses recycles the records of completed read misses, so a miss
+	// costs no allocation once the in-flight high-water mark is reached.
+	freeMisses []*gpuReadMiss
+}
+
+// gpuReadMiss is one read miss in flight to DRAM; fill is bound once per
+// record and handed to the DRAM model as the completion callback.
+type gpuReadMiss struct {
+	g    *GPUMemory
+	line mem.LineAddr
+	done func()
+	fill func()
 }
 
 // GPUMemConfig describes the GPU memory path.
@@ -100,15 +113,31 @@ func (g *GPUMemory) Access(req mem.Request, done func()) {
 		return
 	}
 	g.readMisses.Inc()
-	g.dram.Read(line, func() {
-		// Another in-flight miss to the same line may already have filled it.
-		if g.readCache.Lookup(line) == nil {
-			if l, _, _, ok := g.readCache.Allocate(line); ok {
-				l.State = cache.Shared
-			}
+	var m *gpuReadMiss
+	if n := len(g.freeMisses); n > 0 {
+		m = g.freeMisses[n-1]
+		g.freeMisses = g.freeMisses[:n-1]
+	} else {
+		m = &gpuReadMiss{g: g}
+		m.fill = m.complete
+	}
+	m.line, m.done = line, done
+	g.dram.Read(line, m.fill)
+}
+
+// complete installs the missed line in the read cache and finishes the
+// access after the hit latency.
+func (m *gpuReadMiss) complete() {
+	g, line, done := m.g, m.line, m.done
+	m.done = nil
+	g.freeMisses = append(g.freeMisses, m)
+	// Another in-flight miss to the same line may already have filled it.
+	if g.readCache.Lookup(line) == nil {
+		if l, _, _, ok := g.readCache.Allocate(line); ok {
+			l.State = cache.Shared
 		}
-		g.engine.Schedule(g.readHit, done)
-	})
+	}
+	g.engine.Schedule(g.readHit, done)
 }
 
 func (g *GPUMemory) flushOneLine() {

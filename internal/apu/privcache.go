@@ -16,7 +16,8 @@
 package apu
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
@@ -33,6 +34,8 @@ import (
 type snoopFilter struct {
 	holders map[mem.LineAddr]map[*PrivateHierarchy]struct{}
 	nextID  int
+	// others is invalidateOthers' reusable scratch slice.
+	others []*PrivateHierarchy
 }
 
 func newSnoopFilter() *snoopFilter {
@@ -65,19 +68,23 @@ func (s *snoopFilter) invalidateOthers(h *PrivateHierarchy, line mem.LineAddr) {
 	if len(set) == 0 {
 		return
 	}
-	others := make([]*PrivateHierarchy, 0, len(set))
+	others := s.others[:0]
 	//ccsvm:orderinvariant
 	for other := range set {
 		if other != h {
 			others = append(others, other)
 		}
 	}
-	sort.Slice(others, func(i, j int) bool { return others[i].id < others[j].id })
-	for _, other := range others {
+	slices.SortFunc(others, byHierarchyID)
+	for i, other := range others {
 		other.invalidateLine(line)
 		delete(set, other)
+		others[i] = nil
 	}
+	s.others = others
 }
+
+func byHierarchyID(a, b *PrivateHierarchy) int { return cmp.Compare(a.id, b.id) }
 
 // PrivateHierarchy is one CPU core's private L1+L2 cache hierarchy backed by
 // DRAM. It implements mem.Port.

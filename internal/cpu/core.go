@@ -62,9 +62,9 @@ type Core struct {
 	//ccsvm:stateok // installed by the machine at boot; rebound on restore
 	syscall SyscallHandler
 
-	//ccsvm:stateok // goroutine-backed thread handle; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	current *exec.Thread
-	//ccsvm:stateok // goroutine-backed thread handles; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handles; software threads are re-launched on restore
 	runQueue   []*exec.Thread
 	interrupts []Interrupt
 	busy       bool
@@ -170,7 +170,7 @@ func (c *Core) Run(t *exec.Thread, onExit func()) {
 // RaiseInterrupt queues external work (such as an MTTOP page fault forwarded
 // by the MIFD) to run on this core between instructions. It must be called
 // from engine context (an event callback), never from workload code: a
-// workload goroutine calling it would re-enter step mid-operation and
+// workload thread calling it would re-enter step mid-operation and
 // corrupt the core's fetch state (see step's serialization comment).
 //
 //ccsvm:enginectx
@@ -191,7 +191,7 @@ func (c *Core) Idle() bool {
 // pending interrupts are considered. When the thread has not published it
 // yet, the fetch registers step itself as the resume continuation and
 // returns: the thread's between-ops Go code runs — fully serialized with the
-// engine, under the gate's baton — when its pending activation comes up, and
+// engine, on its coroutine — when its pending activation comes up, and
 // re-enters step with the operation published. Simulated timing is
 // unchanged: the buffered operation still executes only after pending
 // interrupts are drained.

@@ -10,74 +10,58 @@ import (
 // machine. Every method blocks (in host terms) until the simulated core has
 // performed the operation, so workload functions read like ordinary
 // sequential code while their memory behaviour is played out cycle by cycle
-// in the timing models.
+// in the timing models. A thread's Context lives inside its Thread.
 type Context struct {
 	thread *Thread
 }
 
 // do publishes one operation to the owning core and waits for its
-// completion — cooperatively, not by parking. The thread writes the op into
-// its slot and invokes the core's resume continuation itself (the core
-// consumes the op and schedules its events on this goroutine), then keeps
-// the baton and drives the engine until its own result arrives. It parks
-// only to hand the baton to another thread whose completion is older, or
-// back to the host when the engine cannot advance. A thread whose operation
-// completes while it is driving never switches goroutines at all.
-//
-// The first operation takes the rendezvous branch instead: the launching
-// core is blocked in Thread.launch waiting to consume it, so there is no
-// resume continuation yet.
+// completion by driving the engine itself: the thread writes the op into its
+// slot, invokes the core's resume continuation (the core consumes the op and
+// schedules its events on this coroutine), and drives until its own result
+// arrives. Two publications yield straight back to whoever resumed the
+// thread instead: the first operation, whose launching core is waiting in
+// Thread.launch with no continuation registered yet, and a nested
+// activation from Gate.Drain.
 func (c *Context) do(op Op) Result {
 	t := c.thread
+	t.inOp = true
 	t.op, t.hasOp = op, true
-	if r := t.resume; r != nil {
-		t.resume = nil
+	r := t.resume
+	t.resume = nil
+	if r != nil {
 		r()
-		if t.nested {
-			// Nested activation (Gate.Drain): the operation is published and
-			// its events are scheduled; hand the baton straight back to the
-			// event handler that completed us and park for the next result.
-			t.nested = false
-			t.park(t.gate.drainReturn)
-		} else {
-			t.drive()
-		}
+	}
+	if r == nil || t.nested {
+		t.nested = false
+		t.suspend(nil)
 	} else {
-		t.park(t.handoff)
+		t.drive()
 	}
-	if t.killed {
-		panic(killSignal{})
-	}
-	t.hasResult = false
+	t.inOp = false
 	return t.result
 }
 
 // drive advances the simulation while this thread's operation is in flight:
 // pending completions are activated in completion order, then engine events
 // are dispatched. The thread discovers its own completion by popping itself
-// from the queue front — the zero-switch fast path — and every hand-off of
-// the baton (to an older completion, or to the host when the engine stalls)
-// parks the thread until some driver pops it, which always means its result
-// has been delivered or the machine is tearing it down.
+// from the queue front — the zero-switch fast path. Any other activation,
+// or an engine that cannot advance, makes it yield to the host loop (naming
+// the popped thread, if any) until some later activation resumes it, which
+// always means its result has been delivered.
 //
 //ccsvm:hotpath
 func (t *Thread) drive() {
 	g := t.gate
 	for {
-		if t.killed {
-			return
-		}
 		if n := g.pop(); n != nil {
-			if n == t {
-				// Our own completion is the oldest pending activation: keep
-				// running, no goroutine switch.
-				return
+			if n != t {
+				t.suspend(n)
 			}
-			t.park(n.wake)
 			return
 		}
 		if !g.dispatch() {
-			t.park(g.hostWake)
+			t.suspend(nil)
 			return
 		}
 	}

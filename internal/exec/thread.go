@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"iter"
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/sim"
@@ -128,27 +129,22 @@ const (
 	NextDone
 )
 
-// killSignal is panicked inside a workload goroutine when the machine tears
+// killSignal is panicked inside a workload coroutine when the machine tears
 // the thread down before it finished.
 type killSignal struct{}
 
 // Gate is the cooperative scheduler shared by every software thread of one
-// machine. Exactly one goroutine — the host inside Drive, or one workload
-// goroutine — holds the "baton" at any instant and is the only runner; every
-// other goroutine is parked. The baton holder advances the simulation itself:
-// it activates threads from the pending queue (threads whose operation
-// completed and whose between-ops Go code must run before the next event),
-// and when the queue is empty it dispatches the next engine event via the
-// step function installed by Drive.
+// machine. Each thread runs as a coroutine (iter.Pull), so exactly one piece
+// of code — the host inside Drive, or one workload thread — runs at any
+// instant. The running code advances the simulation itself: it activates
+// threads from the pending queue (threads whose operation completed and whose
+// between-ops Go code must run before the next event), and when the queue is
+// empty it dispatches the next engine event via the step function installed
+// by Drive. A thread whose own operation completes while it is driving finds
+// itself at the front of the queue and just keeps running; a cross-thread
+// completion costs one coroutine switch out to the host loop and one in.
 //
-// This is what lets a simulated operation complete without any goroutine
-// switch: when a thread's own operation completes while that thread is
-// driving, Complete queues it, and the thread finds itself at the front of
-// its own queue — it just keeps running. A cross-thread completion costs one
-// switch (activate + park) where the old channel rendezvous cost two.
-//
-// The gate is not safe for concurrent use; the baton discipline is the
-// synchronization. Machines must not share gates.
+// The gate is not safe for concurrent use. Machines must not share gates.
 type Gate struct {
 	// step dispatches one engine event under the host's run policy; installed
 	// by Drive for the duration of the run.
@@ -159,18 +155,16 @@ type Gate struct {
 	// the historical blocking-handoff one.
 	pending []*Thread
 	head    int
-	// hostWake re-activates the host when a driving thread finds the engine
-	// unable to advance (out of events, or the run policy said stop).
-	hostWake chan struct{}
-	// drainReturn hands the baton back from a nested activation (see Drain);
-	// draining guards against reentry from the activated thread's own
+	// draining guards Drain against reentry from the activated thread's own
 	// scheduling, and inHandler restricts draining to schedules made inside
 	// an event handler — a thread's own between-ops code schedules before
 	// later completions activate, exactly as when it ran nested under the
 	// completing handler.
-	drainReturn chan struct{}
-	draining    bool
-	inHandler   bool
+	draining  bool
+	inHandler bool
+	// idle holds finished workers waiting for the next launch; Drive stops
+	// them when it returns.
+	idle []*worker
 	// eng is the engine whose schedule hook this gate arms while completions
 	// are pending (see Bind); armed mirrors the engine-side flag so enqueue
 	// pays one store, not a call, in the common already-armed case.
@@ -179,9 +173,7 @@ type Gate struct {
 }
 
 // NewGate returns the scheduler for one machine's software threads.
-func NewGate() *Gate {
-	return &Gate{hostWake: make(chan struct{}, 1), drainReturn: make(chan struct{})}
-}
+func NewGate() *Gate { return &Gate{} }
 
 // Bind installs the gate's drain as eng's schedule hook. The hook stays
 // disarmed — a single predicted branch on the engine's schedule path — except
@@ -235,11 +227,12 @@ func (g *Gate) pop() *Thread {
 // that completes operations and then schedules more events observes the same
 // event-creation order as the historical blocking design, where Complete
 // handed control to the thread and the handler resumed only after its next
-// publication. A pending thread that is not parked is the baton holder
-// itself — its completion was delivered by an event it is dispatching, and
-// it cannot be activated from under its own handler frame — so the drain
-// stops there to preserve completion order and leaves the rest to the drive
-// loop.
+// publication. Each activation is a nested coroutine call: the thread yields
+// straight back here after publishing. A pending thread that is not parked
+// is the driving thread itself — its completion was delivered by an event it
+// is dispatching, and it cannot be resumed from under its own handler frame
+// — so the drain stops there to preserve completion order and leaves the
+// rest to the drive loop.
 //
 //ccsvm:hotpath
 func (g *Gate) Drain() {
@@ -250,8 +243,7 @@ func (g *Gate) Drain() {
 	for g.head != len(g.pending) && g.pending[g.head].parked {
 		t := g.pop()
 		t.nested = true
-		t.wake <- struct{}{}
-		<-g.drainReturn
+		t.w.next()
 	}
 	g.draining = false
 }
@@ -267,80 +259,111 @@ func (g *Gate) dispatch() bool {
 	return ok
 }
 
-// Drive runs the simulation to completion: it drains pending thread
-// activations, then repeatedly calls step to dispatch events, handing the
-// baton to workload goroutines as their operations complete and parking
-// until it returns. Drive returns when step reports false with no
-// activations outstanding — every workload goroutine is parked (or finished)
-// at that point, so the caller may inspect and tear down machine state
-// freely.
+// Drive runs the simulation to completion: it activates pending threads,
+// then repeatedly calls step to dispatch events. An activated thread drives
+// the engine itself until its own completion comes up; when another
+// thread's completion comes up first, it yields back here naming that
+// thread, and Drive resumes it. Drive returns when step reports false with
+// no activations outstanding — every unfinished thread is then suspended
+// mid-operation, so the caller may inspect machine state and Kill them — and
+// it stops the gate's idle workers, so no coroutine outlives the run.
 func (g *Gate) Drive(step func() bool) {
 	g.step = step
+	defer g.retire()
 	for {
 		if t := g.pop(); t != nil {
-			t.wake <- struct{}{}
-			<-g.hostWake
+			for t != nil {
+				t, _ = t.w.next()
+			}
 			continue
 		}
 		if !g.dispatch() {
-			g.step = nil
 			return
 		}
 	}
 }
 
-// Thread is the host-side handle for one software thread.
-//
-// The op/result handoff is a single-slot publication guarded by the gate's
-// baton, not a channel rendezvous: the workload goroutine writes its next Op
-// into the slot and calls the core's registered resume function itself, then
-// keeps the baton and drives the engine until its own result arrives
-// (Complete). Only when some other thread's activation comes up does it hand
-// the baton over and park. The historical design parked the workload on
-// every operation and woke the host to consume it — two goroutine switches
-// per simulated operation, which dominated the sweep profile; here a
-// self-completing operation costs zero switches and a cross-thread
-// completion costs one.
+// retire ends a run: it uninstalls step and stops every idle worker.
+func (g *Gate) retire() {
+	g.step = nil
+	for i, w := range g.idle {
+		g.idle[i] = nil
+		w.stop()
+	}
+	g.idle = g.idle[:0]
+}
+
+// worker is a coroutine that runs software threads to completion, one after
+// another. A worker whose thread finished waits on its gate's idle list for
+// the next launch, so a machine creates a coroutine per concurrently live
+// thread rather than per thread.
+type worker struct {
+	t     *Thread
+	yield func(*Thread) bool
+	next  func() (*Thread, bool)
+	stop  func()
+}
+
+// run is the worker's coroutine body: it runs each thread it is handed to
+// completion. Every yield hands control back to whoever resumed the worker,
+// naming the thread to resume next (nil for none); a yield that returns
+// false means stop was called.
+func (w *worker) run(yield func(*Thread) bool) {
+	w.yield = yield
+	for {
+		t := w.t
+		t.call()
+		t.finished = true
+		if t.killed {
+			return
+		}
+		next := t.exit()
+		w.t = nil
+		t.gate.idle = append(t.gate.idle, w)
+		if !yield(next) {
+			return
+		}
+	}
+}
+
+// Thread is the host-side handle for one software thread. The op/result
+// handoff is a single-slot publication: the workload writes its next Op into
+// the slot and calls the core's registered resume function itself, then
+// drives the engine until its own result arrives (Complete).
 type Thread struct {
 	id   int
 	name string
 	fn   func(*Context)
 	gate *Gate
+	ctx  Context
+	// w is the worker coroutine running the thread, once launched.
+	w *worker
 
-	// op/hasOp is the publication slot the workload fills; result/hasResult
-	// carries the completion value back. Both are baton-guarded.
-	op        Op
-	hasOp     bool
-	result    Result
-	hasResult bool
+	// op/hasOp is the publication slot the workload fills; result carries
+	// the completion value back.
+	op     Op
+	hasOp  bool
+	result Result
 	// resume is the core's continuation for consuming the next published op,
 	// registered by TryNext when the op was not ready (NextWait).
 	resume func()
 
-	// wake activates a parked workload goroutine (baton handoff); handoff
-	// reports the first publication back to the launching core; dead is
-	// closed when the goroutine exits, which Kill waits on.
-	wake    chan struct{}
-	handoff chan struct{}
-	dead    chan struct{}
-
-	// parked is true while the goroutine is blocked on wake; Drain reads it
-	// (under the baton — the write happens before the baton handoff) to tell
-	// an activatable thread from the running holder. nested is set by Drain
-	// before waking the thread and tells its next publication to hand the
-	// baton back through drainReturn instead of driving.
+	// parked is true while the thread is suspended mid-operation; Drain
+	// reads it to tell an activatable thread from the running driver. nested
+	// is set by Drain before resuming the thread and tells its next
+	// publication to yield straight back instead of driving.
 	parked bool
 	nested bool
+	// inOp is true while the thread is inside an operation — publishing it,
+	// running the core's continuation or driving the engine — where a panic
+	// is the simulator's, not the workload's.
+	inOp bool
 
-	// killed is only ever set while the goroutine is parked (the killer holds
-	// the baton), so a plain bool is race-free: the wake that follows
-	// publishes it.
 	killed   bool
 	started  bool
 	launched bool
-	// done flips when fn returns; finished additionally covers threads killed
-	// or discarded before launch.
-	done     bool
+	// finished flips when fn returns, or when the thread is killed or
+	// discarded before launch.
 	finished bool
 	err      any
 }
@@ -350,15 +373,9 @@ type Thread struct {
 //
 //ccsvm:threadentry
 func NewThread(g *Gate, id int, name string, fn func(*Context)) *Thread {
-	return &Thread{
-		gate:    g,
-		id:      id,
-		name:    name,
-		fn:      fn,
-		wake:    make(chan struct{}, 1),
-		handoff: make(chan struct{}, 1),
-		dead:    make(chan struct{}),
-	}
+	t := &Thread{gate: g, id: id, name: name, fn: fn}
+	t.ctx.thread = t
+	return t
 }
 
 // ID reports the thread's identifier.
@@ -368,12 +385,12 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Name() string { return t.name }
 
 // Start marks the thread runnable. It must be called exactly once, before
-// the first TryNext. The workload goroutine itself launches lazily on the
-// first TryNext: this way the Go code a thread runs before its first
-// operation is serialized with the engine exactly like the code between
-// operations, instead of racing whatever else runs between Start and the
-// first fetch — e.g. the gap code of other threads while this one sits in a
-// core's run queue.
+// the first TryNext. The workload itself launches lazily on the first
+// TryNext: this way the Go code a thread runs before its first operation is
+// serialized with the engine exactly like the code between operations,
+// instead of racing whatever else runs between Start and the first fetch —
+// e.g. the gap code of other threads while this one sits in a core's run
+// queue.
 func (t *Thread) Start() {
 	if t.started {
 		panic("exec: thread started twice")
@@ -381,20 +398,26 @@ func (t *Thread) Start() {
 	t.started = true
 }
 
-// launch spawns the workload goroutine and blocks until it has either
-// published its first operation or returned. The synchronous rendezvous is
-// deliberate: cores start threads from event handlers and from other
-// threads' between-ops code, and in both places the new thread's prologue
-// (and the scheduling of its first operation) must complete before the
-// caller proceeds, exactly as it did when the op fetch was a blocking
-// receive.
-//
-//ccsvm:launchpath
+// launch runs the thread on a worker until it has either published its
+// first operation or returned. The synchronous call is deliberate: cores
+// start threads from event handlers and from other threads' between-ops
+// code, and in both places the new thread's prologue (and the scheduling of
+// its first operation) must complete before the caller proceeds, exactly as
+// it did when the op fetch was a blocking receive.
 func (t *Thread) launch() (Op, NextStatus) {
 	t.launched = true
-	ctx := &Context{thread: t}
-	go t.wrapper(ctx)
-	<-t.handoff
+	g := t.gate
+	var w *worker
+	if n := len(g.idle); n > 0 {
+		w = g.idle[n-1]
+		g.idle[n-1] = nil
+		g.idle = g.idle[:n-1]
+	} else {
+		w = &worker{}
+		w.next, w.stop = iter.Pull(w.run)
+	}
+	w.t, t.w = t, w
+	w.next()
 	if t.hasOp {
 		t.hasOp = false
 		return t.op, NextOp
@@ -402,80 +425,66 @@ func (t *Thread) launch() (Op, NextStatus) {
 	return Op{}, NextDone
 }
 
-// wrapper is the workload goroutine's body: the thread function plus the
-// exit protocol that reports completion to the owning core and passes the
-// baton on.
-func (t *Thread) wrapper(ctx *Context) {
+// exit tells the owning core the thread is finished (it observes NextDone
+// and runs its exit processing) and returns the thread to resume next: none
+// when control goes back to the launching core or the drainer, otherwise the
+// next pending thread.
+func (t *Thread) exit() *Thread {
+	r := t.resume
+	if r == nil {
+		// Returned before issuing a single operation: the launching core is
+		// still inside launch.
+		return nil
+	}
+	t.resume = nil
+	r()
+	if t.nested {
+		t.nested = false
+		return nil
+	}
+	return t.gate.pop()
+}
+
+// call runs the thread function, capturing a workload panic in err. A panic
+// raised by simulator code inside an operation is left to propagate to the
+// caller that resumed the thread, and on up to Drive's caller.
+func (t *Thread) call() {
 	defer func() {
+		if t.inOp && !t.killed {
+			return
+		}
 		if r := recover(); r != nil {
 			if _, wasKill := r.(killSignal); !wasKill {
 				t.err = r
 			}
 		}
-		t.done = true
-		t.finished = true
-		if t.killed {
-			// The killer holds the baton and waits on dead; do not touch the
-			// gate or the core.
-			close(t.dead)
-			return
-		}
-		if t.resume == nil {
-			// Returned before issuing a single operation: the launching core
-			// is still blocked in the rendezvous.
-			t.handoff <- struct{}{}
-			return
-		}
-		// Tell the owning core the thread is finished (it observes NextDone
-		// and runs its exit processing), then hand the baton on and die: back
-		// to the drainer when this was a nested activation, otherwise to the
-		// next pending thread or the host.
-		r := t.resume
-		t.resume = nil
-		r()
-		if t.nested {
-			t.nested = false
-			t.gate.drainReturn <- struct{}{}
-			return
-		}
-		t.handback()
 	}()
-	t.fn(ctx)
+	t.fn(&t.ctx)
 }
 
-// park hands the baton away on ch and blocks until this thread is next
-// woken, which always means its result was delivered (or the machine is
-// tearing it down).
-func (t *Thread) park(ch chan struct{}) {
+// suspend yields control, naming next as the thread to resume (nil for
+// none), and returns once this thread is resumed — which always means its
+// result was delivered — or unwinds it when the machine is tearing it down.
+func (t *Thread) suspend(next *Thread) {
 	t.parked = true
-	ch <- struct{}{}
-	<-t.wake
+	ok := t.w.yield(next)
 	t.parked = false
-}
-
-// handback passes the baton from an exiting goroutine: to the next pending
-// thread if there is one, otherwise back to the host.
-func (t *Thread) handback() {
-	g := t.gate
-	if n := g.pop(); n != nil {
-		n.wake <- struct{}{}
-		return
+	if !ok {
+		panic(killSignal{})
 	}
-	g.hostWake <- struct{}{}
 }
 
 // TryNext fetches the thread's next operation without blocking. On NextWait
 // the resume function is recorded and will be invoked — on the workload
-// goroutine, under the baton — as soon as the thread publishes its next
-// operation; the core must simply return to the event loop. The first
-// TryNext after Start launches the workload goroutine and waits for its
-// first publication (see launch).
+// coroutine — as soon as the thread publishes its next operation; the core
+// must simply return to the event loop. The first TryNext after Start
+// launches the workload and runs it to its first publication (see launch).
 func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 	if t.hasOp {
 		t.hasOp = false
 		return t.op, NextOp
 	}
-	if t.done || t.finished {
+	if t.finished {
 		return Op{}, NextDone
 	}
 	if !t.launched {
@@ -494,27 +503,25 @@ func (t *Thread) TryNext(resume func()) (Op, NextStatus) {
 // the next event.
 func (t *Thread) Complete(r Result) {
 	t.result = r
-	t.hasResult = true
 	t.gate.enqueue(t)
 }
 
-// Kill tears the thread down. It must be called with the baton held and the
-// thread parked (machines call it after Drive has returned): the goroutine
-// is woken into the kill check, unwinds with an internal panic, and Kill
-// waits for it to exit. Safe to call on finished threads.
+// Kill tears the thread down. It must be called while the thread is
+// suspended (machines call it after Drive has returned): stopping its
+// worker makes the pending yield fail, so the workload unwinds with an
+// internal panic before Kill returns. Safe to call on finished threads.
 func (t *Thread) Kill() {
 	if t.finished {
 		return
 	}
+	t.finished = true
 	if !t.launched {
-		// No workload goroutine exists yet (never started, or started but
+		// No workload coroutine exists yet (never started, or started but
 		// never fetched from), so there is nothing to unwind.
-		t.finished = true
 		return
 	}
 	t.killed = true
-	t.wake <- struct{}{}
-	<-t.dead
+	t.w.stop()
 }
 
 // Finished reports whether the thread function has returned.

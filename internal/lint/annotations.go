@@ -26,10 +26,6 @@ const (
 	// hotpath analyzer forbids capturing closures passed to the engine's
 	// At/Schedule family inside it.
 	DirHotPath = "hotpath"
-	// DirLaunchPath marks the blessed goroutine launch point (the exec
-	// package's workload-thread launch); go statements anywhere else in a
-	// deterministic package are reported.
-	DirLaunchPath = "launchpath"
 	// DirThreadEntry marks an API whose function-valued arguments become
 	// workload-goroutine bodies (exec.NewThread and its wrappers); the
 	// enginectx analyzer treats such arguments as reachability roots.
@@ -155,7 +151,6 @@ var directiveSpec = map[string]struct {
 	DirDeterministic:  {onPackage: true},
 	DirEngineCtx:      {onFunc: true},
 	DirHotPath:        {onFunc: true},
-	DirLaunchPath:     {onFunc: true},
 	DirThreadEntry:    {onFunc: true},
 	DirPooled:         {onFunc: true, args: []string{"get", "put"}},
 	DirOrderInvariant: {floating: true},

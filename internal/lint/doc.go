@@ -8,8 +8,8 @@
 // enforcement" for the contributor-facing description):
 //
 //   - determinism: packages annotated //ccsvm:deterministic must not read the
-//     wall clock, use the global math/rand source, launch goroutines outside
-//     the blessed launch path, or iterate maps with order-sensitive bodies.
+//     wall clock, use the global math/rand source, launch goroutines, or
+//     iterate maps with order-sensitive bodies.
 //   - poolownership: objects obtained from //ccsvm:pooled get sources must be
 //     released or transferred on every control-flow path, and never released
 //     twice — checked flow-sensitively over per-function control-flow graphs

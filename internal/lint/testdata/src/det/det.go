@@ -28,20 +28,22 @@ func RollSeeded(seed int64) int {
 	return rng.Intn(6)
 }
 
-// Spawn launches a goroutine outside the blessed launch path.
+// Spawn launches a goroutine.
 func Spawn(fn func()) {
 	go fn() // want "goroutine launched in a deterministic package"
 }
 
-// launch is the blessed goroutine launch point.
-//
-//ccsvm:launchpath
-func launch(fn func()) {
+// SpawnAndWait launches a goroutine from a closure and waits for it; no
+// spawn point is exempt, however synchronous.
+func SpawnAndWait(fn func()) {
 	done := make(chan struct{})
-	go func() {
-		fn()
-		close(done)
-	}()
+	run := func() {
+		go func() { // want "goroutine launched in a deterministic package"
+			fn()
+			close(done)
+		}()
+	}
+	run()
 	<-done
 }
 
@@ -90,5 +92,3 @@ func ReadOnly(m map[int]int) {
 		_ = local
 	}
 }
-
-var _ = launch

@@ -1,6 +1,5 @@
 // Package detclean is a deterministic package with no violations: seeded
-// randomness, sorted map iteration, and goroutines confined to the annotated
-// launch path.
+// randomness, sorted map iteration, and no goroutines.
 //
 //ccsvm:deterministic
 package detclean
@@ -27,16 +26,4 @@ func Drain(m map[string]int, visit func(string, int)) {
 	for _, k := range keys {
 		visit(k, m[k])
 	}
-}
-
-// Launch is the package's blessed goroutine spawn point.
-//
-//ccsvm:launchpath
-func Launch(fn func()) chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		fn()
-		close(done)
-	}()
-	return done
 }

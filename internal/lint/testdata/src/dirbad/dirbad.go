@@ -5,6 +5,11 @@ package dirbad
 //ccsvm:frobnicate // want "unknown directive"
 func Unknown() {}
 
+// The retired goroutine-launch blessing is an unknown directive too.
+//
+//ccsvm:launchpath // want "unknown directive"
+func Retired() {}
+
 //ccsvm:pooled // want "exactly one argument"
 func MissingArg() {}
 

@@ -59,12 +59,11 @@ func RunSeed(cfg Config) Report {
 	return RunProgram(cfg, Generate(cfg))
 }
 
-// harness carries one run's oracle state. Workload goroutines update it
-// between their operations; the exec handoff protocol keeps exactly one
-// workload goroutine runnable at a time (the engine blocks in Thread.Next
-// until the goroutine issues its next op), so the updates are serialized in
-// global-performance order without locks and the shadow mirrors the
-// functional memory exactly.
+// harness carries one run's oracle state. Workload threads update it
+// between their operations; the exec gate runs workload threads as
+// coroutines, one at a time and in completion order, so the updates are
+// serialized in global-performance order without locks and the shadow
+// mirrors the functional memory exactly.
 type harness struct {
 	addrs     []mem.VAddr // slot -> virtual address
 	shadow    []uint64    // slot -> last value written (the oracle)

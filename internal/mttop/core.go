@@ -32,11 +32,12 @@ type Config struct {
 
 // hwContext is one hardware thread context. A context runs one operation at
 // a time, so the in-flight op's state lives here and the per-op callbacks
-// (translateCb, accessCb) are bound once at core construction — the hot
-// issue/translate/access path allocates nothing per operation.
+// (translateCb, accessCb) are bound once, when the context first runs a
+// thread — the hot issue/translate/access path allocates nothing per
+// operation, and contexts a run never uses cost no closures.
 type hwContext struct {
 	idx int
-	//ccsvm:stateok // goroutine-backed thread handle; software threads are re-launched on restore
+	//ccsvm:stateok // coroutine-backed thread handle; software threads are re-launched on restore
 	thread *exec.Thread
 	//ccsvm:stateok // task completion callback; re-registered when tasks are re-issued on restore
 	onDone func()
@@ -48,11 +49,11 @@ type hwContext struct {
 	// when the cache access for the op is globally performed; stepFn is the
 	// resume continuation handed to Thread.TryNext.
 	//
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound on the context's first thread; rebound on restore
 	translateCb func(mem.PAddr, *vm.Fault)
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound on the context's first thread; rebound on restore
 	accessCb func()
-	//ccsvm:stateok // bound once at core construction; rebound on restore
+	//ccsvm:stateok // bound on the context's first thread; rebound on restore
 	stepFn func()
 }
 
@@ -103,13 +104,10 @@ func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.P
 		faults:   faults,
 		contexts: make([]hwContext, cfg.NumContexts),
 	}
+	c.free = make([]int, cfg.NumContexts)
 	for i := range c.contexts {
-		h := &c.contexts[i]
-		h.idx = i
-		h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
-		h.accessCb = func() { c.accessDone(h) }
-		h.stepFn = func() { c.stepContext(h) }
-		c.free = append(c.free, i)
+		c.contexts[i].idx = i
+		c.free[i] = i
 	}
 	c.completeFn = func(a any) { c.completeOp(a.(*hwContext), exec.Result{}) }
 	c.memIssueFn = func(a any) { c.memAccess(a.(*hwContext)) }
@@ -148,6 +146,11 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 	idx := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	h := &c.contexts[idx]
+	if h.stepFn == nil {
+		h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
+		h.accessCb = func() { c.accessDone(h) }
+		h.stepFn = func() { c.stepContext(h) }
+	}
 	h.thread = t
 	h.onDone = onDone
 	h.busy = false
@@ -169,8 +172,8 @@ func (c *Core) BusyContexts() int { return c.cfg.NumContexts - len(c.free) }
 // stepContext pulls and executes the next operation of one context's thread.
 // When the thread has not published it yet (NextWait), the fetch registers
 // stepContext itself as the resume continuation: the thread's between-ops
-// code runs under the gate's baton and re-enters here with the operation
-// published.
+// code runs on its coroutine, serialized with the engine, and re-enters here
+// with the operation published.
 //
 //ccsvm:hotpath
 func (c *Core) stepContext(h *hwContext) {
