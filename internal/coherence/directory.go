@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"ccsvm/internal/cache"
 	"ccsvm/internal/dram"
@@ -48,26 +47,12 @@ func (s DirState) String() string {
 type dirEntry struct {
 	state   DirState
 	owner   noc.NodeID
-	sharers map[noc.NodeID]struct{}
+	sharers sharerSet
 	// busy blocks the entry while an owner forward or a DRAM fill is in
 	// flight; queued requests are serviced in order afterwards.
 	busy    bool
 	pending *Msg
 	queue   []*Msg
-}
-
-func (e *dirEntry) sharerList(except noc.NodeID) []noc.NodeID {
-	out := make([]noc.NodeID, 0, len(e.sharers))
-	//ccsvm:orderinvariant
-	for s := range e.sharers {
-		if s != except {
-			out = append(out, s)
-		}
-	}
-	// Map iteration order is random; invalidations must go out in a fixed
-	// order or simulated timing wobbles between runs.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // BankConfig describes one L2/directory bank.
@@ -99,6 +84,9 @@ type DirectoryBank struct {
 	memory *dram.Controller
 
 	entries map[mem.LineAddr]*dirEntry
+	// invs is the scratch list one invalidation round fills with the
+	// sharers to invalidate, in ascending node order.
+	invs []noc.NodeID
 
 	// pool recycles protocol messages (see msgPool for the ownership rules);
 	// processFn is the post-access-latency continuation bound once so the
@@ -157,7 +145,7 @@ func (b *DirectoryBank) Entry(addr mem.LineAddr) (DirState, noc.NodeID, []noc.No
 	if !ok {
 		return DirInvalid, 0, nil
 	}
-	return e.state, e.owner, e.sharerList(-1)
+	return e.state, e.owner, e.sharers.appendTo(nil, -1)
 }
 
 // InjectSkipInvalidations arms a deliberate protocol bug for the memtest
@@ -168,14 +156,23 @@ func (b *DirectoryBank) Entry(addr mem.LineAddr) (DirState, noc.NodeID, []noc.No
 // cross-check must both catch the violation; the stress tests prove they do.
 func (b *DirectoryBank) InjectSkipInvalidations(n int) { b.skipInvs = n }
 
-// maybeDropSharer applies the armed fault injection to one invalidation
-// round's sharer list.
-func (b *DirectoryBank) maybeDropSharer(sharers []noc.NodeID) []noc.NodeID {
-	if b.skipInvs > 0 && len(sharers) > 0 {
+// invalidationRound fills the bank's scratch list with the sharers a GetM
+// from req must invalidate, in ascending node order, applies the armed fault
+// injection, and sends the invalidations. It returns how many went out: the
+// number of acks req must collect.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) invalidationRound(e *dirEntry, addr mem.LineAddr, req noc.NodeID) int {
+	b.invs = e.sharers.appendTo(b.invs[:0], req)
+	if b.skipInvs > 0 && len(b.invs) > 0 {
 		b.skipInvs--
-		return sharers[:len(sharers)-1]
+		b.invs = b.invs[:len(b.invs)-1]
 	}
-	return sharers
+	for _, s := range b.invs {
+		b.invsSent.Inc()
+		send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
+	}
+	return len(b.invs)
 }
 
 // Busy reports whether any entry is mid-transaction (tests use this to
@@ -193,7 +190,7 @@ func (b *DirectoryBank) Busy() bool {
 func (b *DirectoryBank) entryOf(addr mem.LineAddr) *dirEntry {
 	e, ok := b.entries[addr]
 	if !ok {
-		e = &dirEntry{state: DirInvalid, sharers: make(map[noc.NodeID]struct{})}
+		e = &dirEntry{state: DirInvalid}
 		b.entries[addr] = e
 	}
 	return e
@@ -209,15 +206,16 @@ func (b *DirectoryBank) Receive(nm *noc.Message) {
 	b.engine.ScheduleArg(b.cfg.AccessLatency, b.processFn, nm.Payload)
 }
 
+//ccsvm:hotpath
 func (b *DirectoryBank) process(m *Msg) {
 	switch m.Type {
 	case MsgFwdDone:
 		b.handleFwdDone(m)
-		b.pool.put(m)
+		m.release()
 	case MsgGetS, MsgGetM, MsgPutM, MsgPutO, MsgPutE:
 		e := b.entryOf(m.Addr)
 		if e.busy {
-			e.queue = append(e.queue, m)
+			e.queue = append(e.queue, m) //ccsvm:allocok // queue grows to its high-water mark and is reused
 			return
 		}
 		b.dispatchRequest(e, m)
@@ -232,7 +230,7 @@ func (b *DirectoryBank) process(m *Msg) {
 func (b *DirectoryBank) dispatchRequest(e *dirEntry, m *Msg) {
 	b.handleRequest(e, m)
 	if e.pending != m {
-		b.pool.put(m)
+		m.release()
 	}
 }
 
@@ -251,25 +249,16 @@ func (b *DirectoryBank) handleRequest(e *dirEntry, m *Msg) {
 	}
 }
 
+//ccsvm:hotpath
 func (b *DirectoryBank) handleGetS(e *dirEntry, m *Msg) {
-	// The L2-fill continuations capture the request's fields, not the
-	// request: m is released when dispatchRequest returns, which can be
-	// before a DRAM fill completes.
 	addr, req := m.Addr, m.Requestor
 	switch e.state {
 	case DirInvalid:
 		// No cache holds the line: grant Exclusive, as x86-style protocols do
 		// for the first reader.
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgDataExcl, addr, req))
-			e.state = DirExclusive
-			e.owner = req
-		})
+		b.replyWithL2(e, l2Reply{typ: MsgDataExcl, addr: addr, req: req, grant: true})
 	case DirShared:
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgData, addr, req))
-			e.sharers[req] = struct{}{}
-		})
+		b.replyWithL2(e, l2Reply{typ: MsgData, addr: addr, req: req, share: true})
 	case DirExclusive, DirOwned:
 		e.busy = true
 		e.pending = m
@@ -278,40 +267,24 @@ func (b *DirectoryBank) handleGetS(e *dirEntry, m *Msg) {
 	}
 }
 
+//ccsvm:hotpath
 func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
-	// As in handleGetS, the L2-fill continuation captures fields, not m.
 	addr, req := m.Addr, m.Requestor
 	switch e.state {
 	case DirInvalid:
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(MsgDataExcl, addr, req))
-			e.state = DirExclusive
-			e.owner = req
-		})
+		b.replyWithL2(e, l2Reply{typ: MsgDataExcl, addr: addr, req: req, grant: true})
 	case DirShared:
-		others := b.maybeDropSharer(e.sharerList(req))
-		_, wasSharer := e.sharers[req]
-		for _, s := range others {
-			b.invsSent.Inc()
-			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
-		}
+		wasSharer := e.sharers.has(req)
+		acks := b.invalidationRound(e, addr, req)
 		if wasSharer {
 			ackc := b.pool.get(MsgAckCount, addr, req)
-			ackc.AckCount = len(others)
+			ackc.AckCount = acks
 			send(b.net, b.id, req, ackc)
 			e.state = DirExclusive
 			e.owner = req
-			e.sharers = make(map[noc.NodeID]struct{})
+			e.sharers.clear()
 		} else {
-			acks := len(others)
-			b.withL2Data(e, addr, func() {
-				excl := b.pool.get(MsgDataExcl, addr, req)
-				excl.AckCount = acks
-				send(b.net, b.id, req, excl)
-				e.state = DirExclusive
-				e.owner = req
-				e.sharers = make(map[noc.NodeID]struct{})
-			})
+			b.replyWithL2(e, l2Reply{typ: MsgDataExcl, addr: addr, req: req, acks: acks, grant: true, clearSharers: true})
 		}
 	case DirExclusive:
 		if e.owner == req {
@@ -322,28 +295,25 @@ func (b *DirectoryBank) handleGetM(e *dirEntry, m *Msg) {
 		b.forwards.Inc()
 		send(b.net, b.id, e.owner, b.pool.get(MsgFwdGetM, addr, req))
 	case DirOwned:
-		others := b.maybeDropSharer(e.sharerList(req))
-		for _, s := range others {
-			b.invsSent.Inc()
-			send(b.net, b.id, s, b.pool.get(MsgInv, addr, req))
-		}
+		acks := b.invalidationRound(e, addr, req)
 		if e.owner == req {
 			ackc := b.pool.get(MsgAckCount, addr, req)
-			ackc.AckCount = len(others)
+			ackc.AckCount = acks
 			send(b.net, b.id, req, ackc)
 			e.state = DirExclusive
-			e.sharers = make(map[noc.NodeID]struct{})
+			e.sharers.clear()
 			return
 		}
 		e.busy = true
 		e.pending = m
 		b.forwards.Inc()
 		fwd := b.pool.get(MsgFwdGetM, addr, req)
-		fwd.AckCount = len(others)
+		fwd.AckCount = acks
 		send(b.net, b.id, e.owner, fwd)
 	}
 }
 
+//ccsvm:hotpath
 func (b *DirectoryBank) handlePut(e *dirEntry, m *Msg) {
 	isOwner := (e.state == DirExclusive || e.state == DirOwned) && e.owner == m.Requestor
 	if !isOwner {
@@ -359,7 +329,7 @@ func (b *DirectoryBank) handlePut(e *dirEntry, m *Msg) {
 		e.owner = 0
 	case DirOwned:
 		e.owner = 0
-		if len(e.sharers) == 0 {
+		if e.sharers.empty() {
 			e.state = DirInvalid
 		} else {
 			e.state = DirShared
@@ -373,6 +343,8 @@ func (b *DirectoryBank) handlePut(e *dirEntry, m *Msg) {
 // kept decides the next directory state, the owner/sharer bookkeeping, and —
 // for protocols without owner-forwarding — the data response the directory
 // itself owes the requestor.
+//
+//ccsvm:hotpath
 func (b *DirectoryBank) handleFwdDone(m *Msg) {
 	e := b.entryOf(m.Addr)
 	if !e.busy || e.pending == nil {
@@ -396,53 +368,98 @@ func (b *DirectoryBank) handleFwdDone(m *Msg) {
 		e.owner = 0
 	}
 	if act.clearSharers {
-		e.sharers = make(map[noc.NodeID]struct{})
+		e.sharers.clear()
 	}
 	if act.addOldOwner {
-		e.sharers[oldOwner] = struct{}{}
+		e.sharers.add(oldOwner)
 	}
 	if act.addRequestor {
-		e.sharers[req] = struct{}{}
+		e.sharers.add(req)
 	}
 	e.busy = false
 	e.pending = nil
-	b.pool.put(p)
+	p.release()
 	if act.respond {
 		// No owner-forwarding: the line is home (installed above when dirty,
 		// refetched from DRAM below if the clean copy was evicted), and the
 		// directory answers the requestor itself. The forward only came from
 		// a single-owner entry, so a write collects no invalidation acks.
-		b.withL2Data(e, addr, func() {
-			send(b.net, b.id, req, b.pool.get(act.data, addr, req))
-		})
+		b.replyWithL2(e, l2Reply{typ: act.data, addr: addr, req: req})
 	}
 	b.drainQueue(e)
 }
 
+// drainQueue services the entry's queued requests in arrival order until one
+// blocks it again. The queue shifts down in place so its backing array is
+// reused rather than regrown.
 func (b *DirectoryBank) drainQueue(e *dirEntry) {
 	for !e.busy && len(e.queue) > 0 {
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
 		b.dispatchRequest(e, next)
 	}
 }
 
-// withL2Data runs fn once the bank has the line's data available in the L2
-// (fetching it from DRAM on a miss, evicting an L2 victim if necessary).
-func (b *DirectoryBank) withL2Data(e *dirEntry, addr mem.LineAddr, fn func()) {
-	if b.l2.Touch(addr) != nil {
+// l2Reply is a data response the bank owes a requestor once the line is in
+// the L2, together with the entry update that goes with it. It holds copied
+// fields, never the pooled request, because a DRAM fill can outlive it.
+type l2Reply struct {
+	typ  MsgType
+	addr mem.LineAddr
+	req  noc.NodeID
+	acks int
+	// grant makes req the exclusive owner; share adds it to the sharers;
+	// clearSharers empties the sharers (a write that invalidated them).
+	grant, share, clearSharers bool
+}
+
+// replyWithL2 sends r as soon as the bank has the line's data: at once on an
+// L2 hit, or after a DRAM fill on a miss.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) replyWithL2(e *dirEntry, r l2Reply) {
+	if b.l2.Touch(r.addr) != nil {
 		b.l2Hits.Inc()
-		fn()
+		b.reply(e, r)
 		return
 	}
+	b.fillThenReply(e, r)
+}
+
+// fillThenReply fetches a missing line from DRAM, blocking the entry until
+// it is installed (evicting an L2 victim if necessary) and r has been sent.
+// The continuation is the only closure on the request path, and it is built
+// only here, on an L2 miss.
+func (b *DirectoryBank) fillThenReply(e *dirEntry, r l2Reply) {
 	b.l2Misses.Inc()
 	e.busy = true
-	b.memory.Read(addr, func() {
-		b.installL2(addr, false)
+	b.memory.Read(r.addr, func() {
+		b.installL2(r.addr, false)
 		e.busy = false
-		fn()
+		b.reply(e, r)
 		b.drainQueue(e)
 	})
+}
+
+// reply sends r's data message and applies its entry update.
+//
+//ccsvm:hotpath
+func (b *DirectoryBank) reply(e *dirEntry, r l2Reply) {
+	out := b.pool.get(r.typ, r.addr, r.req)
+	out.AckCount = r.acks
+	send(b.net, b.id, r.req, out)
+	if r.grant {
+		e.state = DirExclusive
+		e.owner = r.req
+	}
+	if r.share {
+		e.sharers.add(r.req)
+	}
+	if r.clearSharers {
+		e.sharers.clear()
+	}
 }
 
 // installL2 places (or refreshes) a line in the L2 data array, writing back

@@ -33,7 +33,9 @@ type pendingAccess struct {
 	done func()
 }
 
-// mshr tracks one outstanding transaction for one line.
+// mshr tracks one outstanding transaction for one line. MSHRs are recycled
+// through the controller's mshrPool: a finished transaction's MSHR keeps the
+// capacity of its secondary and deferred lists for the next one.
 type mshr struct {
 	addr      mem.LineAddr
 	wantWrite bool
@@ -51,11 +53,39 @@ type mshr struct {
 	deferred     []*Msg
 }
 
-// evictEntry is a line that has been evicted from the array but whose
-// writeback (Put) has not been acknowledged yet; it can still supply data to
-// forwarded requests.
-type evictEntry struct {
-	state cache.State
+// mshrPool is a controller's free list of MSHRs.
+type mshrPool struct {
+	free []*mshr
+}
+
+// get returns an MSHR for a new transaction on addr. A recycled one starts
+// exactly as a new one would, apart from its lists' spare capacity.
+//
+//ccsvm:hotpath
+func (p *mshrPool) get(addr mem.LineAddr, wantWrite, fromOwned bool, primary pendingAccess) *mshr {
+	var ms *mshr
+	if n := len(p.free); n > 0 {
+		ms = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		ms = new(mshr) //ccsvm:allocok // pool miss; steady state reuses the free list
+	}
+	ms.addr, ms.wantWrite, ms.fromOwned, ms.primary = addr, wantWrite, fromOwned, primary
+	ms.acksNeeded = -1
+	return ms
+}
+
+// put releases a finished MSHR. It zeroes every field and every list entry,
+// so the MSHR drops its callbacks and messages and carries nothing into its
+// next transaction, but keeps the lists' backing arrays.
+//
+//ccsvm:hotpath
+func (p *mshrPool) put(ms *mshr) {
+	clear(ms.secondary)
+	clear(ms.deferred)
+	*ms = mshr{secondary: ms.secondary[:0], deferred: ms.deferred[:0]}
+	p.free = append(p.free, ms) //ccsvm:allocok // free list returns to its high-water mark
 }
 
 // L1Controller is the coherence controller of one private L1 data cache. It
@@ -75,9 +105,16 @@ type L1Controller struct {
 	array   *cache.Array
 	checker *Checker
 
-	mshrs     map[mem.LineAddr]*mshr
-	evictions map[mem.LineAddr]*evictEntry
-	stalled   []pendingAccess
+	mshrs    map[mem.LineAddr]*mshr
+	mshrPool mshrPool
+	// evictions holds each line that has been evicted from the array but
+	// whose writeback (Put) has not been acknowledged yet, with its
+	// eviction-buffer state: it can still supply data to forwarded requests.
+	evictions map[mem.LineAddr]cache.State
+	// stalled holds requests waiting for an eviction or a free way;
+	// stalledSpare is the second buffer retryStalled swaps in.
+	stalled      []pendingAccess
+	stalledSpare []pendingAccess
 
 	// pool recycles protocol messages (see msgPool for the ownership rules).
 	pool msgPool
@@ -115,7 +152,7 @@ func NewL1Controller(engine *sim.Engine, id noc.NodeID, net noc.Network, banks B
 		array:     cache.NewArray(cfg.Cache),
 		checker:   checker,
 		mshrs:     make(map[mem.LineAddr]*mshr),
-		evictions: make(map[mem.LineAddr]*evictEntry),
+		evictions: make(map[mem.LineAddr]cache.State),
 	}
 	c.handleFn = func(a any) {
 		pa := a.(*pendingAccess)
@@ -161,18 +198,20 @@ func (c *L1Controller) Access(req mem.Request, done func()) {
 }
 
 // handle processes a request after the tag-access latency has been charged.
+//
+//ccsvm:hotpath
 func (c *L1Controller) handle(p pendingAccess) {
 	addr := p.req.Line()
 
 	// A line whose eviction is still in flight cannot be re-requested until
 	// the directory acknowledges the writeback.
 	if _, evicting := c.evictions[addr]; evicting {
-		c.stalled = append(c.stalled, p)
+		c.stalled = append(c.stalled, p) //ccsvm:allocok // grows to its high-water mark and is reused
 		return
 	}
 	// Coalesce with an outstanding transaction for the same line.
 	if m := c.mshrs[addr]; m != nil {
-		m.secondary = append(m.secondary, p)
+		m.secondary = append(m.secondary, p) //ccsvm:allocok // kept across the MSHR's reuses
 		return
 	}
 
@@ -199,6 +238,8 @@ func (c *L1Controller) handle(p pendingAccess) {
 }
 
 // startTransaction allocates a way if needed and sends GetS or GetM.
+//
+//ccsvm:hotpath
 func (c *L1Controller) startTransaction(p pendingAccess, line *cache.Line, needWrite bool) {
 	addr := p.req.Line()
 	var initial cache.State
@@ -209,7 +250,7 @@ func (c *L1Controller) startTransaction(p pendingAccess, line *cache.Line, needW
 		if !ok {
 			// Every way in the set has an outstanding transaction; retry when
 			// one completes.
-			c.stalled = append(c.stalled, p)
+			c.stalled = append(c.stalled, p) //ccsvm:allocok // grows to its high-water mark and is reused
 			return
 		}
 		if evicted {
@@ -231,8 +272,7 @@ func (c *L1Controller) startTransaction(p pendingAccess, line *cache.Line, needW
 	}
 	fromOwned := initial == cache.SMAD && line.State == cache.Owned
 	line.State = initial
-	m := &mshr{addr: addr, wantWrite: needWrite, fromOwned: fromOwned, primary: p, acksNeeded: -1}
-	c.mshrs[addr] = m
+	c.mshrs[addr] = c.mshrPool.get(addr, needWrite, fromOwned, p)
 	typ := MsgGetS
 	if needWrite {
 		typ = MsgGetM
@@ -258,7 +298,7 @@ func (c *L1Controller) evictLine(victim cache.Line) {
 	if act.silent {
 		return
 	}
-	c.evictions[victim.Addr] = &evictEntry{state: act.next}
+	c.evictions[victim.Addr] = act.next
 	put := c.pool.get(act.put, victim.Addr, c.id)
 	put.Dirty = act.dirty
 	send(c.net, c.id, c.banks(victim.Addr), put)
@@ -274,18 +314,18 @@ func (c *L1Controller) Receive(nm *noc.Message) {
 	switch m.Type {
 	case MsgData, MsgDataExcl, MsgAckCount:
 		c.handleResponse(m)
-		c.pool.put(m)
+		m.release()
 	case MsgInvAck:
 		c.handleInvAck(m)
-		c.pool.put(m)
+		m.release()
 	case MsgFwdGetS, MsgFwdGetM:
 		c.handleFwd(m)
 	case MsgInv:
 		c.handleInv(m)
-		c.pool.put(m)
+		m.release()
 	case MsgPutAck, MsgPutAckStale:
 		c.handlePutAck(m)
-		c.pool.put(m)
+		m.release()
 	default:
 		panic(fmt.Sprintf("%s: unexpected message %v", c.cfg.Name, m))
 	}
@@ -345,70 +385,80 @@ func (c *L1Controller) handleInvAck(m *Msg) {
 
 // complete finishes a transaction: the line reaches final, the waiting core
 // requests run, deferred forwards are serviced, and stalled requests retry.
+// The MSHR goes back to the pool only after all of that, so a transaction the
+// re-issued requests start cannot reuse it while its lists are still read.
+//
+//ccsvm:hotpath
 func (c *L1Controller) complete(ms *mshr, line *cache.Line, final cache.State) {
 	line.State = final
 	c.checker.Record(c.id, ms.addr, final)
 	delete(c.mshrs, ms.addr)
 
-	var unsatisfied []pendingAccess
+	// Coalesced stores that a read-only grant cannot satisfy are compacted
+	// to the front of the secondary list and re-issued below.
 	ms.primary.done()
+	unsatisfied := 0
+	coalescedStore := false
 	for _, s := range ms.secondary {
-		if s.req.Type.NeedsExclusive() && !final.CanWrite() {
-			unsatisfied = append(unsatisfied, s)
-			continue
+		if s.req.Type.NeedsExclusive() {
+			coalescedStore = true
+			if !final.CanWrite() {
+				ms.secondary[unsatisfied] = s
+				unsatisfied++
+				continue
+			}
 		}
 		s.done()
 	}
-	// An Exclusive line written by a coalesced store upgrades silently.
-	if final == cache.Exclusive {
-		for _, s := range ms.secondary {
-			if s.req.Type.NeedsExclusive() {
-				// Handled above only when CanWrite, which E satisfies; make
-				// the upgrade to M visible to the invariant checker.
-				line.State = cache.Modified
-				c.checker.Record(c.id, ms.addr, cache.Modified)
-				break
-			}
-		}
+	// An Exclusive line written by a coalesced store upgrades silently; make
+	// the upgrade to M visible to the invariant checker.
+	if final == cache.Exclusive && coalescedStore {
+		line.State = cache.Modified
+		c.checker.Record(c.id, ms.addr, cache.Modified)
 	}
-	deferred := ms.deferred
-	ms.deferred = nil
-	for _, f := range deferred {
+	for _, f := range ms.deferred {
 		c.handleFwd(f)
 	}
-	for _, u := range unsatisfied {
+	for _, u := range ms.secondary[:unsatisfied] {
 		c.handle(u)
 	}
 	c.retryStalled()
+	c.mshrPool.put(ms)
 }
 
 // completeAndInvalidate finishes an IS_D_I transaction: loads are satisfied
-// with the in-flight data, then the line is dropped.
+// with the in-flight data, then the line is dropped. Coalesced stores are
+// re-issued; the MSHR is released last, as in complete.
+//
+//ccsvm:hotpath
 func (c *L1Controller) completeAndInvalidate(ms *mshr, line *cache.Line) {
 	delete(c.mshrs, ms.addr)
 	ms.primary.done()
-	var reissue []pendingAccess
+	reissue := 0
 	for _, s := range ms.secondary {
 		if s.req.Type.NeedsExclusive() {
-			reissue = append(reissue, s)
+			ms.secondary[reissue] = s
+			reissue++
 		} else {
 			s.done()
 		}
 	}
 	c.array.Invalidate(ms.addr)
-	deferred := ms.deferred
-	for _, f := range deferred {
+	for _, f := range ms.deferred {
 		c.handleFwd(f)
 	}
-	for _, r := range reissue {
+	for _, r := range ms.secondary[:reissue] {
 		c.handle(r)
 	}
 	c.retryStalled()
+	c.mshrPool.put(ms)
 }
 
 // handleFwd owns the incoming forward: every path releases it except the
 // deferred append, which hands ownership to the MSHR until complete /
 // completeAndInvalidate re-submit it here.
+//
+//ccsvm:hotpath
 func (c *L1Controller) handleFwd(m *Msg) {
 	c.fwdsRecv.Inc()
 	if ms := c.mshrs[m.Addr]; ms != nil {
@@ -418,18 +468,18 @@ func (c *L1Controller) handleFwd(m *Msg) {
 		// blocked on our answer, so respond now from the data we still hold.
 		if ms.fromOwned && line != nil && line.State == cache.SMAD {
 			c.fwdWhileUpgrading(m, ms, line)
-			c.pool.put(m)
+			m.release()
 			return
 		}
 		// Otherwise the directory has already granted our transaction; the
 		// forward concerns a later request and can wait for our data/acks,
 		// which are already in flight and cannot be blocked by the directory.
-		ms.deferred = append(ms.deferred, m)
+		ms.deferred = append(ms.deferred, m) //ccsvm:allocok // kept across the MSHR's reuses
 		return
 	}
-	if ev := c.evictions[m.Addr]; ev != nil {
-		c.fwdFromEviction(m, ev)
-		c.pool.put(m)
+	if st, ok := c.evictions[m.Addr]; ok {
+		c.fwdFromEviction(m, st)
+		m.release()
 		return
 	}
 	line := c.array.Lookup(m.Addr)
@@ -450,7 +500,7 @@ func (c *L1Controller) handleFwd(m *Msg) {
 		c.checker.Record(c.id, m.Addr, act.next)
 	}
 	c.sendFwdDone(m.Addr, act.kept, act.dirty)
-	c.pool.put(m)
+	m.release()
 }
 
 // fwdAction looks up the protocol's forward table for an owner-side state; a
@@ -497,10 +547,10 @@ func (c *L1Controller) fwdWhileUpgrading(m *Msg, ms *mshr, line *cache.Line) {
 // fwdFromEviction services a forward for a line that sits in the eviction
 // buffer (its Put has not been acknowledged yet, so this cache is still the
 // owner from the directory's point of view).
-func (c *L1Controller) fwdFromEviction(m *Msg, ev *evictEntry) {
-	act := c.fwdAction(ev.state, m)
+func (c *L1Controller) fwdFromEviction(m *Msg, st cache.State) {
+	act := c.fwdAction(st, m)
 	c.answerFwd(m, act)
-	ev.state = act.next
+	c.evictions[m.Addr] = act.next
 	c.sendFwdDone(m.Addr, act.kept, act.dirty)
 }
 
@@ -511,11 +561,11 @@ func (c *L1Controller) sendFwdDone(addr mem.LineAddr, kept cache.State, dirty bo
 	send(c.net, c.id, c.banks(addr), done)
 }
 
+// handleInv applies an invalidation and acknowledges it to the requestor.
+//
+//ccsvm:hotpath
 func (c *L1Controller) handleInv(m *Msg) {
 	c.invsRecv.Inc()
-	ack := func() {
-		send(c.net, c.id, m.Requestor, c.pool.get(MsgInvAck, m.Addr, m.Requestor))
-	}
 	if ms := c.mshrs[m.Addr]; ms != nil {
 		line := c.array.Lookup(m.Addr)
 		act, ok := c.proto.inv[line.State]
@@ -526,18 +576,18 @@ func (c *L1Controller) handleInv(m *Msg) {
 		if act.record {
 			c.checker.Record(c.id, m.Addr, cache.Invalid)
 		}
-		ack()
+		c.ackInv(m)
 		return
 	}
 	if _, ok := c.evictions[m.Addr]; ok {
 		// Conservative: acknowledge; the eviction continues independently.
-		ack()
+		c.ackInv(m)
 		return
 	}
 	line := c.array.Lookup(m.Addr)
 	if line == nil {
 		// Silently evicted sharer: the directory's list was stale.
-		ack()
+		c.ackInv(m)
 		return
 	}
 	act, ok := c.proto.inv[line.State]
@@ -550,7 +600,12 @@ func (c *L1Controller) handleInv(m *Msg) {
 	if act.record {
 		c.checker.Record(c.id, m.Addr, cache.Invalid)
 	}
-	ack()
+	c.ackInv(m)
+}
+
+// ackInv acknowledges an invalidation directly to the requestor.
+func (c *L1Controller) ackInv(m *Msg) {
+	send(c.net, c.id, m.Requestor, c.pool.get(MsgInvAck, m.Addr, m.Requestor))
 }
 
 func (c *L1Controller) handlePutAck(m *Msg) {
@@ -561,15 +616,21 @@ func (c *L1Controller) handlePutAck(m *Msg) {
 	c.retryStalled()
 }
 
+// retryStalled re-handles every stalled request in arrival order. Requests
+// that stall again collect in the spare buffer swapped in for the retried
+// ones; the spare is taken out while in use, so a nested retry cannot append
+// to the list being iterated.
 func (c *L1Controller) retryStalled() {
 	if len(c.stalled) == 0 {
 		return
 	}
 	pending := c.stalled
-	c.stalled = nil
+	c.stalled, c.stalledSpare = c.stalledSpare[:0], nil
 	for _, p := range pending {
 		c.handle(p)
 	}
+	clear(pending)
+	c.stalledSpare = pending[:0]
 }
 
 // Flush invalidates the entire cache, writing back dirty lines. It is used by

@@ -107,10 +107,11 @@ type Msg struct {
 	// Dirty reports, on MsgFwdDone and Put messages, whether the line carried
 	// is newer than the L2/memory copy.
 	Dirty bool
-	// pooled marks a message currently sitting on a free list; put uses it to
-	// detect double releases (the flag travels with the object even when it
-	// migrates between controllers' pools).
+	// pooled marks a message currently sitting on a free list; release uses
+	// it to detect double releases.
 	pooled bool
+	// home is the pool the message was allocated from and returns to.
+	home *msgPool
 }
 
 // carriesData reports whether the message includes a full cache line.
@@ -133,9 +134,13 @@ func (m *Msg) sizeBytes() int {
 }
 
 // msgPool is a free list of protocol messages. Every controller owns one:
-// senders allocate from their own pool and the receiving controller releases
-// into its own, so objects migrate between pools but the total stays bounded
-// and parallel runs share no mutable state.
+// senders allocate from their own pool, and a released message returns to
+// the pool it came from, whichever controller releases it. Each pool
+// therefore holds at most its own controller's peak of messages in flight.
+// (Releasing into the receiver's pool instead lets the two drift apart: an
+// owner answering forwards sends more messages than it receives, so its pool
+// would allocate on every forward while the directory's grew without bound.)
+// Parallel runs share no mutable state.
 //
 // Ownership: a *Msg handed to send belongs to the receiver from delivery on.
 // The receiver releases it once the message is fully handled; messages it
@@ -149,17 +154,15 @@ type msgPool struct {
 }
 
 // PoolStats is one controller's message-pool accounting: Gets counts
-// allocations from the pool, Puts releases into it, and DoubleReleases
-// releases of a message already sitting on a free list. Messages migrate
-// between pools (a requestor allocates, the receiver releases), so the
-// numbers are only meaningful summed across a whole system: see SumPoolStats.
+// allocations from the pool, Puts releases back into it, and DoubleReleases
+// releases of a message already sitting on its free list. The quiesce checks
+// sum them across a whole system: see SumPoolStats.
 type PoolStats struct {
 	Gets, Puts, DoubleReleases uint64
 }
 
-// InFlight reports allocated-minus-released. For a single controller it can
-// be negative (it released messages others allocated); summed across a
-// system at quiesce it must be zero, or a handler leaked a message.
+// InFlight reports allocated-minus-released; at quiesce it must be zero, or
+// a handler leaked a message.
 func (s PoolStats) InFlight() int64 { return int64(s.Gets) - int64(s.Puts) }
 
 // add accumulates another controller's stats.
@@ -194,7 +197,7 @@ func (p *msgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		m = new(Msg) //ccsvm:allocok // pool miss; steady state reuses the free list
+		m = &Msg{home: p} //ccsvm:allocok // pool miss; steady state reuses the free list
 	}
 	m.Type, m.Addr, m.Requestor = t, addr, req
 	m.AckCount = 0
@@ -204,14 +207,15 @@ func (p *msgPool) get(t MsgType, addr mem.LineAddr, req noc.NodeID) *Msg {
 	return m
 }
 
-// put releases a fully-handled message back to the free list. Releasing a
+// release returns a fully-handled message to its home pool. Releasing a
 // message that is already pooled is recorded (and the message left alone)
 // rather than corrupting the free list; the accounting checks fail loudly on
 // any such release.
 //
 //ccsvm:pooled put
 //ccsvm:hotpath
-func (p *msgPool) put(m *Msg) {
+func (m *Msg) release() {
+	p := m.home
 	if m.pooled {
 		p.stats.DoubleReleases++
 		return
@@ -220,52 +224,6 @@ func (p *msgPool) put(m *Msg) {
 	p.stats.Puts++
 	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
 }
-
-// drain moves every free message into out and empties the free list, keeping
-// its backing array for reuse. The messages stay flagged pooled, exactly as
-// they sat on the free list.
-func (p *msgPool) drain(out []*Msg) []*Msg {
-	out = append(out, p.free...)
-	for i := range p.free {
-		p.free[i] = nil
-	}
-	p.free = p.free[:0]
-	return out
-}
-
-// seed appends previously drained messages to the free list. Seeding is not a
-// release: the pool's Puts accounting is untouched, so the system-wide
-// InFlight()==0 quiesce invariant holds regardless of how many messages a
-// pool starts with.
-func (p *msgPool) seed(ms []*Msg) {
-	p.free = append(p.free, ms...)
-}
-
-// DrainFreeLists removes and returns every message parked on the free lists
-// of the given controllers. A sweep worker calls it on a machine being torn
-// down and seeds the next machine with the result (see SeedFreeList), so the
-// steady-state message population survives across runs instead of being
-// reallocated.
-//
-//ccsvm:pooled get
-func DrainFreeLists(l1s []*L1Controller, banks []*DirectoryBank) []*Msg {
-	var out []*Msg
-	for _, c := range l1s {
-		out = c.pool.drain(out)
-	}
-	for _, b := range banks {
-		out = b.pool.drain(out)
-	}
-	return out
-}
-
-// SeedFreeList hands previously drained messages to this controller's pool.
-// Messages migrate between pools during a run (a requestor allocates, the
-// receiver releases), so seeding a single controller is enough: the
-// population redistributes with traffic.
-//
-//ccsvm:pooled put
-func (c *L1Controller) SeedFreeList(ms []*Msg) { c.pool.seed(ms) }
 
 // send wraps the protocol message in a pooled network message and sends it;
 // the network recycles its envelope after delivery.

@@ -180,10 +180,6 @@ func NewMachine(cfg Config) *Machine {
 		m.MIFD.AttachUnits(core)
 	}
 
-	// Recycled protocol messages all seed the first controller's pool; they
-	// migrate between pools with traffic, exactly as in-flight messages do.
-	m.l1s[0].SeedFreeList(cfg.arena.TakeCohMsgs())
-
 	// TLB shootdowns initiated by a CPU flush every MTTOP TLB via the MIFD.
 	m.Kernel.SetShootdownHook(m.MIFD.FlushAllTLBs)
 
@@ -286,7 +282,6 @@ func (m *Machine) Shutdown() {
 		return
 	}
 	m.arena = nil
-	a.RecycleCohMsgs(coherence.DrainFreeLists(m.l1s, m.banks))
 	a.RecycleNocMsgs(m.torus.DrainFreeList())
 	a.RecycleEngine(m.Engine)
 	a.RecyclePhysical(m.Phys)

@@ -2,7 +2,6 @@ package kernelos
 
 import (
 	"fmt"
-	"sync"
 
 	"ccsvm/internal/mem"
 	"ccsvm/internal/vm"
@@ -29,16 +28,9 @@ type Process struct {
 
 	kernel *Kernel
 
-	// mu guards brk. A workload goroutine extends the heap (Sbrk via
-	// xthreads Malloc) in the window between two of its operations, while
-	// the engine goroutine may concurrently consult InHeap servicing another
-	// core's page fault; the two never touch the same heap region (a fault
-	// can only target memory whose address was already published through
-	// simulated memory), so the lock affects memory safety, not simulated
-	// behaviour.
-	//
-	//ccsvm:stateok // zero-value lock; carries no state across a checkpoint
-	mu  sync.Mutex
+	// brk is the end of the heap. Workload threads (Sbrk via xthreads
+	// Malloc) and the page-fault handler (InHeap) both touch it, but threads
+	// run as coroutines serialized with the engine, so no lock is needed.
 	brk mem.VAddr
 }
 
@@ -48,8 +40,6 @@ func (p *Process) Root() mem.PAddr { return p.Table.Root() }
 
 // Brk returns the current end of the heap.
 func (p *Process) Brk() mem.VAddr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.brk
 }
 
@@ -58,8 +48,6 @@ func (p *Process) Brk() mem.VAddr {
 // mapped by the page-fault handler on first touch, exactly as in the paper's
 // Linux-based evaluation.
 func (p *Process) Sbrk(size uint64) mem.VAddr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	base := mem.AlignUp(p.brk, 64)
 	end := base + mem.VAddr(size)
 	if end > HeapLimit {
@@ -73,8 +61,6 @@ func (p *Process) Sbrk(size uint64) mem.VAddr {
 // the page-fault handler uses to distinguish demand paging from wild
 // accesses.
 func (p *Process) InHeap(va mem.VAddr) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return va >= HeapBase && va < p.brk
 }
 

@@ -2,8 +2,7 @@
 // simulated machine across runs: the discrete-event engine (whose event free
 // list and calendar backing arrays are the hottest allocations in a sweep),
 // the physical memory (whose lazily materialized frames dominate resident
-// bytes), and the harvested free lists of the coherence and network message
-// pools.
+// bytes), and the harvested free list of the network message pool.
 //
 // An Arena belongs to exactly one sweep worker at a time — it is
 // deliberately not synchronized, matching the simulator's one-goroutine-per-
@@ -20,7 +19,6 @@
 package simarena
 
 import (
-	"ccsvm/internal/coherence"
 	"ccsvm/internal/mem"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
@@ -35,9 +33,9 @@ type Stats struct {
 	EngineReuses, EngineBuilds uint64
 	// PhysicalReuses/PhysicalBuilds count Physical() calls likewise.
 	PhysicalReuses, PhysicalBuilds uint64
-	// CohMsgs/NocMsgs count protocol and network messages currently parked on
-	// the arena between machines.
-	CohMsgs, NocMsgs int
+	// NocMsgs counts network messages currently parked on the arena between
+	// machines.
+	NocMsgs int
 }
 
 // Arena is a per-worker free store of machine parts. The zero value is ready
@@ -46,7 +44,6 @@ type Stats struct {
 type Arena struct {
 	engines []*sim.Engine
 	phys    []*mem.Physical
-	cohMsgs []*coherence.Msg
 	nocMsgs []*noc.Message
 	stats   Stats
 }
@@ -115,36 +112,6 @@ func (a *Arena) RecyclePhysical(p *mem.Physical) {
 		return
 	}
 	a.phys = append(a.phys, p)
-}
-
-// TakeCohMsgs hands the parked coherence-protocol messages to the caller
-// (typically to seed a new machine's first controller pool) and empties the
-// arena's list. Returns nil when the arena is nil or empty.
-//
-//ccsvm:pooled get
-func (a *Arena) TakeCohMsgs() []*coherence.Msg {
-	if a == nil || len(a.cohMsgs) == 0 {
-		return nil
-	}
-	ms := a.cohMsgs
-	a.cohMsgs = nil
-	a.stats.CohMsgs = 0
-	return ms
-}
-
-// RecycleCohMsgs parks drained coherence messages for the next machine.
-//
-//ccsvm:pooled put
-func (a *Arena) RecycleCohMsgs(ms []*coherence.Msg) {
-	if a == nil || len(ms) == 0 {
-		return
-	}
-	if a.cohMsgs == nil {
-		a.cohMsgs = ms
-	} else {
-		a.cohMsgs = append(a.cohMsgs, ms...)
-	}
-	a.stats.CohMsgs = len(a.cohMsgs)
 }
 
 // TakeNocMsgs hands the parked network-message envelopes to the caller and

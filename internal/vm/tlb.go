@@ -76,7 +76,8 @@ func (t *TLB) Lookup(va mem.VAddr) (mem.FrameNumber, bool, bool) {
 	return e.frame, e.writable, true
 }
 
-// Insert caches a translation, evicting the LRU entry if the TLB is full.
+// Insert caches a translation, evicting the LRU entry if the TLB is full; the
+// new translation reuses the evicted entry.
 func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 	page := mem.PageOf(va)
 	if e, ok := t.entries[page]; ok {
@@ -85,22 +86,26 @@ func (t *TLB) Insert(va mem.VAddr, frame mem.FrameNumber, writable bool) {
 		t.last = e
 		return
 	}
+	var e *tlbEntry
 	if len(t.entries) >= t.cfg.Entries {
 		var victim mem.PageNumber
 		var oldest uint64 = ^uint64(0)
-		for p, e := range t.entries {
-			if e.lru < oldest {
-				oldest = e.lru
+		for p, v := range t.entries {
+			if v.lru < oldest {
+				oldest = v.lru
 				victim = p
+				e = v
 			}
 		}
 		delete(t.entries, victim)
 		if t.last != nil && t.last.page == victim {
 			t.last = nil
 		}
+	} else {
+		e = new(tlbEntry)
 	}
 	t.tick++
-	e := &tlbEntry{page: page, frame: frame, writable: writable, lru: t.tick}
+	*e = tlbEntry{page: page, frame: frame, writable: writable, lru: t.tick}
 	t.entries[page] = e
 	t.last = e
 }
@@ -117,7 +122,7 @@ func (t *TLB) InvalidatePage(va mem.VAddr) {
 // Flush empties the TLB (the conservative shootdown used for MTTOP cores).
 func (t *TLB) Flush() {
 	t.flushes.Inc()
-	t.entries = make(map[mem.PageNumber]*tlbEntry, t.cfg.Entries)
+	clear(t.entries)
 	t.last = nil
 }
 

@@ -141,6 +141,32 @@ func TestTLBHitMissLRUAndFlush(t *testing.T) {
 	}
 }
 
+// TestTLBMissAndFlushAllocationFree checks that a full TLB refills a miss by
+// reusing the evicted entry, and that a flush empties it in place: neither
+// allocates.
+func TestTLBMissAndFlushAllocationFree(t *testing.T) {
+	tlb := NewTLB(TLBConfig{Entries: 64, Name: "tlb"}, stats.NewRegistry("t"))
+	const pages = 128
+	i := 0
+	miss := func() {
+		va := mem.PageNumber(i % pages).Addr()
+		if _, _, ok := tlb.Lookup(va); ok {
+			t.Fatalf("page %d hit in a TLB cycling %d pages through 64 entries", i%pages, pages)
+		}
+		tlb.Insert(va, mem.FrameNumber(i%pages), true)
+		i++
+	}
+	for n := 0; n < 4*pages; n++ {
+		miss()
+	}
+	if allocs := testing.AllocsPerRun(1000, miss); allocs != 0 {
+		t.Fatalf("TLB miss+refill allocated %v objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, tlb.Flush); allocs != 0 {
+		t.Fatalf("TLB flush allocated %v objects, want 0", allocs)
+	}
+}
+
 func TestMMUTranslateHitMissAndFault(t *testing.T) {
 	phys, pt, _ := newTestTable(t)
 	port := &fakePort{}

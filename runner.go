@@ -84,7 +84,7 @@ type Sink interface {
 // sequential run.
 //
 // Each worker owns one machine-part Arena: the engine, physical memory and
-// message populations of a finished run are recycled into the worker's next
+// network message population of a finished run are recycled into the worker's next
 // machine, so a long sweep stops paying construction and GC cost per run.
 // Reuse is observation-equivalent — results and sink bytes are identical to
 // fresh-machine-per-run at any Parallel setting (see TestRunnerArenaReuse).
