@@ -4,6 +4,7 @@ package apu
 // around the unexported snoop filter directly, without a whole Machine.
 
 import (
+	"runtime"
 	"testing"
 
 	"ccsvm/internal/cache"
@@ -279,5 +280,23 @@ func TestGPUReadCacheHitMiss(t *testing.T) {
 	gpuAccess(t, engine, g, mem.Write, line(1))
 	if got := count("gpu.mem.write_lines"); got != 2 {
 		t.Fatalf("write_lines = %d, want 2 (buffer dropped by InvalidateAll)", got)
+	}
+}
+
+// TestNewMachineConstructionBytes guards what building the Table 2 APU
+// allocates: well under 1 MiB, because cache arrays materialise a set only on
+// its first fill. With every way of every array allocated up front (four
+// private 1 MiB L2s among them) it was about 2.5 MiB.
+func TestNewMachineConstructionBytes(t *testing.T) {
+	NewMachine(DefaultConfig()).Shutdown() // one-time package state
+	const builds = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		NewMachine(DefaultConfig()).Shutdown()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 1<<20 {
+		t.Fatalf("NewMachine(DefaultConfig()) allocates %d KiB, want at most 1024 KiB", per>>10)
 	}
 }

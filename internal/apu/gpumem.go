@@ -68,12 +68,17 @@ func DefaultGPUMemConfig() GPUMemConfig {
 	}
 }
 
+// readCacheConfig is the read cache's array geometry.
+func (c GPUMemConfig) readCacheConfig() cache.Config {
+	return cache.Config{SizeBytes: c.ReadCacheBytes, Assoc: c.ReadCacheAssoc, Name: "gpu.rdcache"}
+}
+
 // NewGPUMemory builds the GPU memory path.
 func NewGPUMemory(engine *sim.Engine, cfg GPUMemConfig, d *dram.Controller, reg *stats.Registry) *GPUMemory {
 	g := &GPUMemory{
 		engine:      engine,
 		dram:        d,
-		readCache:   cache.NewArray(cache.Config{SizeBytes: cfg.ReadCacheBytes, Assoc: cfg.ReadCacheAssoc, Name: "gpu.rdcache"}),
+		readCache:   cache.NewArray(cfg.readCacheConfig()),
 		readHit:     cfg.ReadHit,
 		writeBuf:    make(map[mem.LineAddr]int),
 		writeBufMax: cfg.WriteBufferLines,

@@ -3,6 +3,7 @@ package apu
 import (
 	"fmt"
 
+	"ccsvm/internal/cache"
 	"ccsvm/internal/cpu"
 	"ccsvm/internal/dram"
 	"ccsvm/internal/exec"
@@ -110,12 +111,6 @@ func (c Config) Validate() error {
 		{c.GPUClockHz > 0, "GPUClockHz"},
 		{c.GPUContextsPerUnit > 0, "GPUContextsPerUnit"},
 		{c.DRAM.SizeBytes > 0, "DRAM.SizeBytes"},
-		{c.CPUCaches.L1.SizeBytes > 0, "CPUCaches.L1.SizeBytes"},
-		{c.CPUCaches.L1.Assoc > 0, "CPUCaches.L1.Assoc"},
-		{c.CPUCaches.L2.SizeBytes > 0, "CPUCaches.L2.SizeBytes"},
-		{c.CPUCaches.L2.Assoc > 0, "CPUCaches.L2.Assoc"},
-		{c.GPUMem.ReadCacheBytes > 0, "GPUMem.ReadCacheBytes"},
-		{c.GPUMem.ReadCacheAssoc > 0, "GPUMem.ReadCacheAssoc"},
 		{c.GPUMem.WriteBufferLines > 0, "GPUMem.WriteBufferLines"},
 		// Negative latencies would schedule events in the past (an engine
 		// panic); zero is allowed — a free driver call or an idealized cache
@@ -138,6 +133,21 @@ func (c Config) Validate() error {
 	for _, chk := range checks {
 		if !chk.ok {
 			return &ConfigError{Field: chk.name}
+		}
+	}
+	// Every cache array must have a geometry NewMachine can build; an
+	// override such as CPUCaches.L1.Assoc=3 would otherwise panic inside it.
+	arrays := []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"CPUCaches.L1", c.CPUCaches.L1},
+		{"CPUCaches.L2", c.CPUCaches.L2},
+		{"GPUMem.ReadCacheBytes/ReadCacheAssoc", c.GPUMem.readCacheConfig()},
+	}
+	for _, arr := range arrays {
+		if err := arr.cfg.Validate(); err != nil {
+			return &ConfigError{Field: fmt.Sprintf("%s (%v)", arr.name, err)}
 		}
 	}
 	return nil

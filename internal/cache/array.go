@@ -6,19 +6,20 @@ import (
 	"ccsvm/internal/mem"
 )
 
-// Line is one cache line's bookkeeping in a set-associative array.
+// Line is one cache line's bookkeeping in a set-associative array. The
+// eight-byte fields come first so a way packs into 24 bytes.
 type Line struct {
-	// Valid marks an allocated way (any state other than an empty slot).
-	Valid bool
 	// Addr is the line address of the block held in this way.
 	Addr mem.LineAddr
+	// lru is the logical timestamp of the last touch.
+	lru uint64
+	// Valid marks an allocated way (any state other than an empty slot).
+	Valid bool
 	// State is the coherence state (used by the L1s and, with a narrower
 	// set of states, the L2 data array where Dirty matters).
 	State State
 	// Dirty marks an L2 block newer than DRAM.
 	Dirty bool
-	// lru is the logical timestamp of the last touch.
-	lru uint64
 }
 
 // Config describes a set-associative array.
@@ -31,13 +32,32 @@ type Config struct {
 	Name string
 }
 
-// NumSets returns the number of sets implied by the configuration.
-func (c Config) NumSets() int {
-	lines := c.SizeBytes / mem.LineSize
-	if c.Assoc <= 0 || lines <= 0 || lines%c.Assoc != 0 {
-		panic(fmt.Sprintf("cache: invalid geometry for %s: %d bytes, %d-way", c.Name, c.SizeBytes, c.Assoc))
+// Validate reports whether the geometry describes a buildable array: a
+// positive associativity and a size that is a whole number of lines, at
+// least one set, and a whole number of sets.
+func (c Config) Validate() error {
+	switch {
+	case c.Assoc <= 0:
+		return fmt.Errorf("associativity %d is not positive", c.Assoc)
+	case c.SizeBytes <= 0 || c.SizeBytes%mem.LineSize != 0:
+		return fmt.Errorf("size %d bytes is not a positive multiple of the %d-byte line",
+			c.SizeBytes, mem.LineSize)
+	case c.SizeBytes/mem.LineSize < c.Assoc:
+		return fmt.Errorf("size %d bytes is smaller than one %d-way set", c.SizeBytes, c.Assoc)
+	case c.SizeBytes/mem.LineSize%c.Assoc != 0:
+		return fmt.Errorf("%d lines do not divide into %d-way sets", c.SizeBytes/mem.LineSize, c.Assoc)
 	}
-	return lines / c.Assoc
+	return nil
+}
+
+// NumSets returns the number of sets implied by the configuration. An
+// invalid geometry is a programming error and panics; configurations that
+// come from users are checked with Validate first.
+func (c Config) NumSets() int {
+	if err := c.Validate(); err != nil {
+		panic(fmt.Sprintf("cache: invalid geometry for %s: %v", c.Name, err))
+	}
+	return c.SizeBytes / mem.LineSize / c.Assoc
 }
 
 // Array is a set-associative structure with LRU replacement. It stores no
@@ -45,23 +65,31 @@ func (c Config) NumSets() int {
 //
 //ccsvm:state
 type Array struct {
-	cfg     Config
-	sets    [][]Line
+	cfg Config
+	// sets[i] holds set i's materialised ways, in way order. A set is nil
+	// until the first Allocate into it; it then grows one way at a time
+	// within the Assoc-way capacity it was carved with, so it never moves.
+	sets [][]Line
+	// slab is the not yet carved tail of the current slab, which new sets
+	// take their ways from.
+	slab    []Line
 	numSets int
 	tick    uint64
 }
 
-// NewArray builds an array from the configuration. The per-set slices share
-// one flat backing array: a machine builds dozens of these, and one large
-// allocation per array beats thousands of tiny per-set ones.
+// slabSets is how many sets' worth of ways one slab allocation holds.
+const slabSets = 16
+
+// NewArray builds an array from the configuration. Only the set table is
+// allocated here: a set's ways are carved out of a shared slab on the first
+// Allocate into it, and a slab holds min(numSets, 16) sets. A machine builds
+// dozens of arrays, megabytes of tags in all, and a run touches only a small
+// part of them; slabs keep the sets a run does touch from costing one
+// allocation each. Slabs never move, so a *Line stays valid for the life of
+// the array.
 func NewArray(cfg Config) *Array {
 	numSets := cfg.NumSets()
-	flat := make([]Line, numSets*cfg.Assoc)
-	sets := make([][]Line, numSets)
-	for i := range sets {
-		sets[i] = flat[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return &Array{cfg: cfg, sets: sets, numSets: numSets}
+	return &Array{cfg: cfg, sets: make([][]Line, numSets), numSets: numSets}
 }
 
 // Config returns the array configuration.
@@ -74,6 +102,8 @@ func (a *Array) SetIndex(addr mem.LineAddr) int {
 
 // Lookup returns the line holding addr, or nil if it is not present.
 // Lookup does not update LRU state; use Touch for accesses.
+//
+//ccsvm:hotpath
 func (a *Array) Lookup(addr mem.LineAddr) *Line {
 	set := a.sets[a.SetIndex(addr)]
 	for i := range set {
@@ -86,6 +116,8 @@ func (a *Array) Lookup(addr mem.LineAddr) *Line {
 
 // Touch marks the line as most recently used and returns it, or nil if the
 // address is not present.
+//
+//ccsvm:hotpath
 func (a *Array) Touch(addr mem.LineAddr) *Line {
 	l := a.Lookup(addr)
 	if l != nil {
@@ -101,13 +133,21 @@ func (a *Array) Touch(addr mem.LineAddr) *Line {
 // outstanding transaction holds it), Allocate returns ok=false and the caller
 // must retry later.
 //
+// The way chosen is the first invalid one, else a way not yet materialised,
+// else the least recently used stable one. Unmaterialised ways are the
+// trailing empty ways of a fully built set, so this is the way an array
+// with every way allocated up front would pick.
+//
 // The returned line is in state Invalid / not dirty; the caller sets its
 // state.
+//
+//ccsvm:hotpath
 func (a *Array) Allocate(addr mem.LineAddr) (line *Line, victim Line, evicted bool, ok bool) {
 	if l := a.Lookup(addr); l != nil {
 		panic(fmt.Sprintf("cache: %s allocate of already-present %v", a.cfg.Name, addr))
 	}
-	set := a.sets[a.SetIndex(addr)]
+	idx := a.SetIndex(addr)
+	set := a.sets[idx]
 	// Prefer an empty way.
 	var candidate *Line
 	for i := range set {
@@ -115,6 +155,20 @@ func (a *Array) Allocate(addr mem.LineAddr) (line *Line, victim Line, evicted bo
 			candidate = &set[i]
 			break
 		}
+	}
+	if candidate == nil && len(set) < a.cfg.Assoc {
+		// Materialise the next way, carving the set out of the slab on its
+		// first fill.
+		if set == nil {
+			if len(a.slab) == 0 {
+				a.slab = make([]Line, min(a.numSets, slabSets)*a.cfg.Assoc) //ccsvm:allocok // amortised: one slab per 16 first fills
+			}
+			set = a.slab[:0:a.cfg.Assoc]
+			a.slab = a.slab[a.cfg.Assoc:]
+		}
+		set = set[:len(set)+1]
+		a.sets[idx] = set
+		candidate = &set[len(set)-1]
 	}
 	if candidate == nil {
 		// Pick the least recently used stable way.
@@ -157,8 +211,8 @@ func (a *Array) Occupancy() int {
 	return n
 }
 
-// ForEach calls fn on every valid line. Mutating the line through the pointer
-// is allowed.
+// ForEach calls fn on every valid line, in set and then way order. Mutating
+// the line through the pointer is allowed.
 func (a *Array) ForEach(fn func(l *Line)) {
 	for _, set := range a.sets {
 		for i := range set {

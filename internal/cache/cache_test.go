@@ -56,6 +56,33 @@ func TestConfigGeometry(t *testing.T) {
 	bad.NumSets()
 }
 
+func TestConfigValidate(t *testing.T) {
+	good := []Config{
+		{SizeBytes: 64 * 1024, Assoc: 4},
+		{SizeBytes: mem.LineSize, Assoc: 1},
+		{SizeBytes: 3 * 2 * mem.LineSize, Assoc: 2}, // three sets: need not be a power of two
+	}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	bad := []Config{
+		{SizeBytes: 64 * 1024, Assoc: 0},
+		{SizeBytes: 64 * 1024, Assoc: -4},
+		{SizeBytes: 0, Assoc: 4},
+		{SizeBytes: 1000, Assoc: 1},             // not a whole number of lines
+		{SizeBytes: 32, Assoc: 1},               // smaller than a line
+		{SizeBytes: 2 * mem.LineSize, Assoc: 4}, // smaller than one set
+		{SizeBytes: 64 * 1024, Assoc: 3},        // 1024 lines, 3 ways
+	}
+	for _, c := range bad {
+		if c.Validate() == nil {
+			t.Errorf("%+v: Validate accepted an unbuildable geometry", c)
+		}
+	}
+}
+
 func TestArrayLookupTouchAllocate(t *testing.T) {
 	a := NewArray(testConfig())
 	addr := mem.LineAddr(0x40)

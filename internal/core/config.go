@@ -176,16 +176,10 @@ func (c Config) Validate() error {
 		{c.MTTOPClockHz > 0, "MTTOPClockHz"},
 		{c.CPUCPI > 0, "CPUCPI"},
 		{c.L2Banks > 0, "L2Banks"},
-		{c.L2BankBytes > 0, "L2BankBytes"},
-		{c.CPUL1.SizeBytes > 0, "CPUL1.SizeBytes"},
-		{c.MTTOPL1.SizeBytes > 0, "MTTOPL1.SizeBytes"},
 		{c.MTTOPContexts > 0, "MTTOPContexts"},
 		{c.MTTOPIssueWidth > 0, "MTTOPIssueWidth"},
 		{c.TLBEntries > 0, "TLBEntries"},
 		{c.DRAM.SizeBytes > 0, "DRAM.SizeBytes"},
-		{c.CPUL1.Assoc > 0, "CPUL1.Assoc"},
-		{c.MTTOPL1.Assoc > 0, "MTTOPL1.Assoc"},
-		{c.L2Assoc > 0, "L2Assoc"},
 		// Negative latencies would schedule events in the past (an engine
 		// panic); zero is allowed — an idealized structure is a legitimate
 		// what-if sweep point.
@@ -208,6 +202,21 @@ func (c Config) Validate() error {
 	for _, chk := range checks {
 		if !chk.ok {
 			return &ConfigError{Field: chk.name}
+		}
+	}
+	// Every cache array must have a geometry NewMachine can build; an
+	// override such as CPUL1.Assoc=3 would otherwise panic inside it.
+	arrays := []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"CPUL1", c.CPUL1},
+		{"MTTOPL1", c.MTTOPL1},
+		{"L2BankBytes/L2Assoc", cache.Config{SizeBytes: c.L2BankBytes, Assoc: c.L2Assoc}},
+	}
+	for _, arr := range arrays {
+		if err := arr.cfg.Validate(); err != nil {
+			return &ConfigError{Field: fmt.Sprintf("%s (%v)", arr.name, err)}
 		}
 	}
 	// The protocol must be registered (empty means MOESI); an unknown name

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"ccsvm/internal/mem"
@@ -48,14 +50,24 @@ func TestTable2Configuration(t *testing.T) {
 }
 
 func TestConfigValidateCatchesErrors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumMTTOPs = 0
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("expected validation error")
-	}
-	if err.Error() == "" {
-		t.Fatal("empty error message")
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.NumMTTOPs = 0 },
+		// Cache geometries no array can be built from: NewMachine used to
+		// panic inside the array constructor on these.
+		func(c *Config) { c.CPUL1.Assoc = 3 },
+		func(c *Config) { c.L2BankBytes = 1000 },
+		func(c *Config) { c.MTTOPL1.SizeBytes = 32 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		err := cfg.Validate()
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Validate() = %v, want a *ConfigError", err)
+		}
+		if err.Error() == "" {
+			t.Fatal("empty error message")
+		}
 	}
 }
 
@@ -527,5 +539,23 @@ func TestHangDetection(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected a hang to be reported")
+	}
+}
+
+// TestNewMachineConstructionBytes guards what building a Table 2 chip
+// allocates: well under 1 MiB, because cache arrays materialise a set only on
+// its first fill. With every way of every array allocated up front it was
+// about 2.7 MiB.
+func TestNewMachineConstructionBytes(t *testing.T) {
+	NewMachine(DefaultConfig()).Shutdown() // one-time package state
+	const builds = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		NewMachine(DefaultConfig()).Shutdown()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 1<<20 {
+		t.Fatalf("NewMachine(DefaultConfig()) allocates %d KiB, want at most 1024 KiB", per>>10)
 	}
 }

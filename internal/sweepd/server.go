@@ -168,11 +168,16 @@ func (s *Server) do(spec ccsvm.RunSpec) (*call, string) {
 	c := &call{done: make(chan struct{})}
 	s.inflight[key] = c
 	s.mu.Unlock()
+	// However the leader finishes, its followers are released and the
+	// content address is free for the next request.
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(c.done)
+	}()
 
-	s.sem <- struct{}{}
 	res, err := s.simulate(spec)
-	<-s.sem
-
 	if err != nil {
 		s.mu.Lock()
 		s.errs++
@@ -187,15 +192,20 @@ func (s *Server) do(spec ccsvm.RunSpec) (*call, string) {
 			_ = s.cache.Put(key, spec.String(), res)
 		}
 	}
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(c.done)
 	return c, "miss"
 }
 
-// simulate runs one spec through the registry, counting it.
-func (s *Server) simulate(spec ccsvm.RunSpec) (ccsvm.Result, error) {
+// simulate runs one spec through the registry in a simulation slot, counting
+// it. A panicking simulation gives its slot back and becomes an error, which
+// is never cached.
+func (s *Server) simulate(spec ccsvm.RunSpec) (res ccsvm.Result, err error) {
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = ccsvm.Result{}, fmt.Errorf("simulation panicked: %v", p)
+		}
+	}()
 	w, ok := ccsvm.Lookup(spec.Workload)
 	if !ok {
 		// resolve() validated the workload; losing it mid-flight is a

@@ -56,6 +56,20 @@ func init() {
 	})
 }
 
+// init also registers a workload whose simulation panics, standing in for a
+// simulator bug a client's spec can reach.
+func init() {
+	ccsvm.Register(ccsvm.Workload{
+		Name:        "panictest",
+		Description: "sweepd test workload: its simulation panics",
+		Runners: map[ccsvm.SystemKind]ccsvm.RunFunc{
+			ccsvm.SystemCCSVM: func(sys ccsvm.System, p ccsvm.Params) (ccsvm.Result, error) {
+				panic("panictest: simulated simulator bug")
+			},
+		},
+	})
+}
+
 // newTestServer builds a served sweepd instance with a fresh in-memory
 // cache.
 func newTestServer(t *testing.T, cfg sweepd.Config) (*sweepd.Server, *httptest.Server) {
@@ -289,6 +303,10 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown override path", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["ccsvm.Nope=1"]}`, http.StatusUnprocessableEntity, "unknown_path"},
 		{"bad override value", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["ccsvm.NumMTTOPs=many"]}`, http.StatusUnprocessableEntity, "bad_value"},
 		{"out of range override", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["ccsvm.NumMTTOPs=-3"]}`, http.StatusUnprocessableEntity, "out_of_range"},
+		// Parses, but no array can be built from it: NewMachine used to
+		// panic on these.
+		{"unbuildable cache geometry", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["ccsvm.CPUL1.Assoc=3"]}`, http.StatusUnprocessableEntity, "out_of_range"},
+		{"unbuildable apu cache geometry", "/run", `{"workload":"matmul","system":"cpu","overrides":["apu.CPUCaches.L2.SizeBytes=1000"]}`, http.StatusUnprocessableEntity, "out_of_range"},
 		{"wrong machine override", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["apu.NumCPUs=2"]}`, http.StatusUnprocessableEntity, "machine_mismatch"},
 		{"sweep bad spec", "/sweep", `{"specs":[{"workload":"matmul","system":"ccsvm"},{"workload":"nope","system":"ccsvm"}]}`, http.StatusNotFound, "unknown_workload"},
 	}
@@ -325,6 +343,52 @@ func TestHandlerErrors(t *testing.T) {
 			t.Fatalf("healthz = %d %q", resp.StatusCode, raw)
 		}
 	})
+}
+
+// TestPanickingSimulationFreesSlot: a simulation that panics answers 500,
+// and neither wedges its content address nor leaks its simulation slot. With
+// one slot, a leak would block every later miss; a wedged address would
+// block the repeat forever.
+func TestPanickingSimulationFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, sweepd.Config{Parallel: 1})
+	within := func(body string) (int, []byte) {
+		t.Helper()
+		type reply struct {
+			status int
+			raw    []byte
+		}
+		got := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				got <- reply{raw: []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			got <- reply{resp.StatusCode, raw}
+		}()
+		select {
+		case r := <-got:
+			return r.status, r.raw
+		case <-time.After(10 * time.Second):
+			t.Fatalf("POST %s did not complete", body)
+			return 0, nil
+		}
+	}
+	panicky := `{"workload":"panictest","system":"ccsvm","params":{"n":1}}`
+	for i := 0; i < 2; i++ {
+		status, raw := within(panicky)
+		if status != http.StatusInternalServerError || errKind(t, raw) != "simulation" {
+			t.Fatalf("request %d: status %d body %s, want 500 simulation", i, status, raw)
+		}
+	}
+	if status, raw := within(`{"workload":"blocktest","system":"ccsvm","params":{"n":1}}`); status != http.StatusOK {
+		t.Fatalf("different spec after panics: status %d body %s", status, raw)
+	}
+	if st := s.Stats(); st.Runs != 3 || st.Errors != 2 {
+		t.Fatalf("stats = %+v, want 3 runs, 2 errors (a panic is never cached)", st)
+	}
 }
 
 // TestSweepStreamOrdering: a sweep at Parallel > 1 streams JSONL rows in

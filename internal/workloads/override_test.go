@@ -138,6 +138,46 @@ func TestTorusDimensionOverrides(t *testing.T) {
 	}
 }
 
+// TestCacheGeometryOverrides covers cache geometries that parse but cannot
+// be built: each is a typed ErrOutOfRange with the system rolled back,
+// instead of a panic inside NewMachine.
+func TestCacheGeometryOverrides(t *testing.T) {
+	cases := []struct {
+		path, value string
+		onAPU       bool
+	}{
+		{"ccsvm.CPUL1.Assoc", "3", false},         // 1024 lines do not divide into 3 ways
+		{"ccsvm.L2BankBytes", "1000", false},      // not a whole number of lines
+		{"ccsvm.MTTOPL1.SizeBytes", "32", false},  // smaller than one line
+		{"ccsvm.MTTOPL1.SizeBytes", "192", false}, // three lines, smaller than one 4-way set
+		{"ccsvm.L2Assoc", "0", false},
+		{"apu.CPUCaches.L1.Assoc", "3", true},
+		{"apu.CPUCaches.L2.SizeBytes", "100", true},
+		{"apu.GPUMem.ReadCacheBytes", "256", true}, // four lines, an 8-way read cache
+		{"apu.GPUMem.ReadCacheAssoc", "3", true},
+	}
+	for _, c := range cases {
+		t.Run(c.path+"="+c.value, func(t *testing.T) {
+			sys := ccsvmSys(t)
+			if c.onAPU {
+				sys = openclSys(t)
+			}
+			before := sys
+			if err := Set(&sys, c.path, c.value); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("err = %v, want ErrOutOfRange", err)
+			}
+			if sys.CCSVM != before.CCSVM || sys.APU != before.APU {
+				t.Error("failed override modified the system")
+			}
+		})
+	}
+	// Legal geometries other than Table 2's are still accepted.
+	sys := ccsvmSys(t)
+	if err := Apply(&sys, []string{"ccsvm.CPUL1.Assoc=8", "ccsvm.L2Assoc=1", "ccsvm.MTTOPL1.SizeBytes=256"}); err != nil {
+		t.Errorf("legal geometry rejected: %v", err)
+	}
+}
+
 func TestApplyAssignments(t *testing.T) {
 	sys := ccsvmSys(t)
 	err := Apply(&sys, []string{"ccsvm.NumMTTOPs=6", "ccsvm.L2BankBytes=524288"})

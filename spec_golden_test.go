@@ -56,6 +56,11 @@ func goldenValueFor(path, typ string) string {
 	if strings.HasSuffix(path, ".Coherence.Protocol") {
 		return "mesi"
 	}
+	// A cache capacity must be whole lines and at least one set; 8 KiB is
+	// a valid size for every array at its default associativity.
+	if strings.HasSuffix(path, "Bytes") && !strings.Contains(path, ".DRAM.") {
+		return "8192"
+	}
 	switch typ {
 	case "bool":
 		return "true"
