@@ -28,10 +28,6 @@ func benchRun(b *testing.B, workload string, kind ccsvm.SystemKind, p ccsvm.Para
 		b.Fatalf("workload %q not registered", workload)
 	}
 	sys := ccsvm.MustSystem(kind)
-	// One arena across iterations, like a sweep worker: after the first run
-	// warms it, iterations measure the steady state the Runner and the bench
-	// CLI operate in. Results are bit-identical with or without it.
-	sys.Arena = ccsvm.NewArena()
 	p.Seed = benchSeed
 	b.ReportAllocs()
 	var last ccsvm.Result
@@ -133,10 +129,10 @@ func BenchmarkFig9DRAMAccesses(b *testing.B) {
 }
 
 // BenchmarkRunnerScaling measures sweep throughput through the Runner's
-// worker pool: the same batch of paper-pair specs at 1/2/4/8/16 workers, with
-// each worker reusing its arena across runs. The events/sec ratio between
-// worker counts is the parallel-scaling trajectory cmd/ccsvm-bench records
-// into BENCH_*.json as the scaling_w<N> series.
+// worker pool: the same batch of paper-pair specs at 1/2/4/8/16 workers, each
+// run on a freshly built machine. The events/sec ratio between worker counts
+// is the parallel-scaling trajectory cmd/ccsvm-bench records into
+// BENCH_*.json as the scaling_w<N> series.
 func BenchmarkRunnerScaling(b *testing.B) {
 	// Four copies of every registered pair: enough runs per sweep that the
 	// pool stays saturated at 16 workers.

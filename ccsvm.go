@@ -6,7 +6,6 @@ import (
 	"ccsvm/internal/apu"
 	"ccsvm/internal/coherence"
 	"ccsvm/internal/core"
-	"ccsvm/internal/simarena"
 	"ccsvm/internal/workloads"
 )
 
@@ -30,14 +29,7 @@ type (
 	// Result is the outcome of one run: measured simulated time, off-chip
 	// traffic, and whether the functional output was verified.
 	Result = workloads.Result
-	// Arena recycles machine parts (event engine, physical memory, message
-	// pools) across the runs of one worker; set System.Arena to use it. See
-	// internal/simarena for the reuse contract.
-	Arena = simarena.Arena
 )
-
-// NewArena returns an empty machine-part arena for a single worker's runs.
-func NewArena() *Arena { return simarena.New() }
 
 // The four systems of the paper's evaluation.
 const (

@@ -6,9 +6,9 @@
 // regressions in the hot path are visible in review rather than discovered
 // months later.
 //
-// Measurement mirrors the production sweep path: each series gets a
-// machine-part Arena (as the Runner gives each of its workers one), so the
-// numbers reflect engine/memory/message-pool reuse, not per-run construction.
+// Measurement mirrors the production sweep path: every measured run builds a
+// fresh machine, as each Runner job does, so the numbers include machine
+// construction.
 //
 // Usage:
 //
@@ -411,10 +411,11 @@ func compare(w io.Writer, base, cur []record, evThreshold, allocThreshold float6
 	return ok
 }
 
-// measure runs one series: a warmup run to populate pools and caches, then
-// iters measured runs bracketed by runtime.MemStats reads for the allocation
-// counters. Simulated time, event counts and the trace hash are taken from
-// the last run; they are identical across runs by the determinism contract.
+// measure runs one series: a warmup run to warm the process (code, heap and
+// runtime caches), then iters measured runs bracketed by runtime.MemStats
+// reads for the allocation counters. Simulated time, event counts and the
+// trace hash are taken from the last run; they are identical across runs by
+// the determinism contract.
 func measure(s series, iters int) (record, error) {
 	rec := record{series: s, Iters: iters}
 	w, ok := ccsvm.Lookup(s.Workload)
@@ -425,10 +426,6 @@ func measure(s series, iters int) (record, error) {
 	if err != nil {
 		return rec, err
 	}
-	// The production sweep path gives every Runner worker a machine-part
-	// arena; measure the same way. The warmup run populates the arena, so the
-	// measured iterations pay reuse cost, not construction cost.
-	sys.Arena = ccsvm.NewArena()
 	p := ccsvm.Params{N: s.N, Density: s.Density, Seed: benchSeed, IncludeInit: s.Init}
 
 	if _, err := w.Run(sys, p); err != nil {
@@ -467,8 +464,9 @@ func measure(s series, iters int) (record, error) {
 // measureScaling sweeps the full paper-series list through the Runner at each
 // requested worker-pool size, producing one scaling_w<N> record per size. The
 // per-run results are bit-identical at every pool size (the sink-order and
-// arena-reuse contracts), so the summed sim_time_ps/sim_events/trace_hash
-// columns double as a parallelism determinism check; only wall time varies.
+// fresh-machine-per-run contracts), so the summed
+// sim_time_ps/sim_events/trace_hash columns double as a parallelism
+// determinism check; only wall time varies.
 func measureScaling(iters int, workerCounts []int) ([]record, error) {
 	if len(workerCounts) == 0 {
 		return nil, nil

@@ -53,7 +53,9 @@ func main() {
 		log.Fatalf("ccsvm-serve: %v", err)
 	}
 	svc := sweepd.New(sweepd.Config{Cache: cache, Parallel: *parallel, QueueDepth: *queue})
-	srv := &http.Server{Addr: *addr, Handler: svc}
+	// Bound header reads so a slow or idle client cannot hold a connection
+	// open indefinitely; bodies are bounded by the handlers.
+	srv := &http.Server{Addr: *addr, Handler: svc, ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

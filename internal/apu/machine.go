@@ -11,7 +11,6 @@ import (
 	"ccsvm/internal/mem"
 	"ccsvm/internal/mttop"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/simarena"
 	"ccsvm/internal/stats"
 )
 
@@ -48,19 +47,6 @@ type Config struct {
 	OpenCL OpenCLOverheads
 	// MaxSimulatedTime bounds a run.
 	MaxSimulatedTime sim.Duration
-
-	// arena, when set, supplies recycled machine parts to NewMachine and
-	// receives them back at Shutdown. Unexported on purpose: execution
-	// plumbing, not configuration — out of the canonical spec encoding and
-	// the override namespace, and never a Result input.
-	arena *simarena.Arena
-}
-
-// InArena returns the configuration with machine-part recycling through the
-// given arena (nil means build everything fresh). See internal/simarena.
-func (c Config) InArena(a *simarena.Arena) Config {
-	c.arena = a
-	return c
 }
 
 // OpenCLOverheads are the driver and runtime constants of the baseline's
@@ -199,26 +185,19 @@ type Machine struct {
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunThreads drives the engine through it.
 	gate *exec.Gate
-
-	// arena, when non-nil, receives the engine and physical memory back at
-	// Shutdown so the worker's next machine reuses them.
-	arena *simarena.Arena
 }
 
-// NewMachine builds an APU. When the configuration carries an arena
-// (Config.InArena), the engine and physical memory come from it; reuse is
-// observation-equivalent to fresh construction.
+// NewMachine builds an APU.
 func NewMachine(cfg Config) *Machine {
 	m := &Machine{
 		Config: cfg,
-		Engine: cfg.arena.Engine(),
+		Engine: sim.NewEngine(),
 		Stats:  stats.NewRegistry("apu"),
-		arena:  cfg.arena,
 	}
 	// Always-on event-trace fingerprint, surfaced as sim.trace_hash_hi/lo
 	// (see core.NewMachine).
 	m.Engine.EnableTraceHash()
-	m.Phys = cfg.arena.Physical(cfg.DRAM.SizeBytes)
+	m.Phys = mem.NewPhysical(cfg.DRAM.SizeBytes)
 	m.DRAM = dram.NewController(m.Engine, cfg.DRAM, m.Stats, "dram")
 	m.kernel = kernelos.NewKernel(m.Phys, 16, kernelos.DefaultCosts(), m.Stats)
 	m.gate = exec.NewGate()
@@ -409,20 +388,11 @@ func (m *Machine) RunThreads(fns []HostFunc) (sim.Duration, error) {
 	return m.Engine.Now().Sub(start), nil
 }
 
-// Shutdown tears down any unfinished software threads. A machine built in an
-// arena also hands its recyclable parts back here, after which the machine
-// must not be used again; arena-less machines remain readable.
+// Shutdown tears down any unfinished software threads.
 func (m *Machine) Shutdown() {
 	for _, t := range m.threads {
 		if !t.Finished() {
 			t.Kill()
 		}
 	}
-	a := m.arena
-	if a == nil {
-		return
-	}
-	m.arena = nil
-	a.RecycleEngine(m.Engine)
-	a.RecyclePhysical(m.Phys)
 }

@@ -14,7 +14,6 @@ import (
 	"ccsvm/internal/kernelos"
 	"ccsvm/internal/mifd"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/simarena"
 	"ccsvm/internal/vm"
 )
 
@@ -76,12 +75,6 @@ type Config struct {
 	// MaxSimulatedTime bounds a program run; exceeding it is reported as a
 	// hang (a safety net for buggy workloads that spin forever).
 	MaxSimulatedTime sim.Duration
-
-	// arena, when set, supplies recycled machine parts to NewMachine and
-	// receives them back at Shutdown. Unexported on purpose: it is execution
-	// plumbing, not configuration — it must stay out of the canonical spec
-	// encoding and the override namespace, and it never changes a Result.
-	arena *simarena.Arena
 }
 
 // CoherenceConfig selects the coherence protocol the chip's memory system
@@ -94,14 +87,6 @@ type CoherenceConfig struct {
 	// selects MOESI, keeping zero-value configurations at the paper's
 	// baseline behavior.
 	Protocol string
-}
-
-// InArena returns the configuration with machine-part recycling through the
-// given arena (nil means build everything fresh). Sweep workers give each of
-// their machines the same arena; see internal/simarena.
-func (c Config) InArena(a *simarena.Arena) Config {
-	c.arena = a
-	return c
 }
 
 // DefaultConfig returns the Table 2 CCSVM system: 4 in-order x86 CPU cores at

@@ -15,7 +15,6 @@ import (
 	"ccsvm/internal/mttop"
 	"ccsvm/internal/noc"
 	"ccsvm/internal/sim"
-	"ccsvm/internal/simarena"
 	"ccsvm/internal/stats"
 	"ccsvm/internal/vm"
 	"ccsvm/internal/xthreads"
@@ -46,31 +45,23 @@ type Machine struct {
 	// gate is the cooperative scheduler every software thread of this machine
 	// runs under (see exec.Gate); RunProgram drives the engine through it.
 	gate *exec.Gate
-
-	// arena, when non-nil, receives the engine, physical memory and message
-	// populations back at Shutdown so the worker's next machine reuses them.
-	arena *simarena.Arena
 }
 
-// NewMachine builds and wires a CCSVM chip from the configuration. When the
-// configuration carries an arena (Config.InArena), the engine, physical
-// memory, and message-pool populations come from it; reuse is observation-
-// equivalent to fresh construction.
+// NewMachine builds and wires a CCSVM chip from the configuration.
 func NewMachine(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	m := &Machine{
 		Config: cfg,
-		Engine: cfg.arena.Engine(),
+		Engine: sim.NewEngine(),
 		Stats:  stats.NewRegistry("ccsvm"),
-		arena:  cfg.arena,
 	}
 	// The trace hash is always on: it costs two integer multiplies per event
 	// and gives every run a fingerprint of its exact event order, surfaced
 	// through Metrics as sim.trace_hash_hi/lo.
 	m.Engine.EnableTraceHash()
-	m.Phys = cfg.arena.Physical(cfg.DRAM.SizeBytes)
+	m.Phys = mem.NewPhysical(cfg.DRAM.SizeBytes)
 	m.Checker = coherence.NewChecker()
 	m.DRAM = dram.NewController(m.Engine, cfg.DRAM, m.Stats, "dram")
 
@@ -100,7 +91,6 @@ func NewMachine(cfg Config) *Machine {
 		torusCfg.LinkBandwidth = cfg.Torus.LinkBandwidth
 	}
 	m.torus = noc.NewTorus(m.Engine, torusCfg, placement, m.Stats)
-	m.torus.SeedFreeList(cfg.arena.TakeNocMsgs())
 
 	// L2/directory banks.
 	bankIDs := make([]noc.NodeID, cfg.L2Banks)
@@ -271,20 +261,9 @@ func (m *Machine) L1Controllers() []*coherence.L1Controller { return m.l1s }
 func (m *Machine) DirectoryBanks() []*coherence.DirectoryBank { return m.banks }
 
 // Shutdown tears down any software threads that are still running (used by
-// tests and by callers that abandon a machine mid-run). A machine built in an
-// arena also hands its recyclable parts back here, after which the machine
-// must not be used again; arena-less machines are unaffected and remain
-// readable.
+// tests and by callers that abandon a machine mid-run).
 func (m *Machine) Shutdown() {
 	m.Runtime.KillAll()
-	a := m.arena
-	if a == nil {
-		return
-	}
-	m.arena = nil
-	a.RecycleNocMsgs(m.torus.DrainFreeList())
-	a.RecycleEngine(m.Engine)
-	a.RecyclePhysical(m.Phys)
 }
 
 // Now reports the machine's current simulated time.

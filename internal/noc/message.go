@@ -78,22 +78,6 @@ func (p *msgPool) put(m *Message) {
 	p.free = append(p.free, m) //ccsvm:allocok // free list returns to its high-water mark
 }
 
-// drain moves every free message into out and empties the free list, keeping
-// its backing array.
-func (p *msgPool) drain(out []*Message) []*Message {
-	out = append(out, p.free...)
-	for i := range p.free {
-		p.free[i] = nil
-	}
-	p.free = p.free[:0]
-	return out
-}
-
-// seed appends previously drained messages to the free list.
-func (p *msgPool) seed(ms []*Message) {
-	p.free = append(p.free, ms...)
-}
-
 // Receiver is implemented by every endpoint attached to a network; the
 // network calls Receive when a message arrives, at the arrival time on the
 // simulation clock.

@@ -129,17 +129,6 @@ func NewTorus(engine *sim.Engine, cfg TorusConfig, placement map[NodeID]Coord, r
 //ccsvm:pooled get
 func (t *Torus) NewMessage() *Message { return t.pool.get() }
 
-// DrainFreeList removes and returns the network's parked message envelopes,
-// for recycling into the next machine's torus (see SeedFreeList).
-//
-//ccsvm:pooled get
-func (t *Torus) DrainFreeList() []*Message { return t.pool.drain(nil) }
-
-// SeedFreeList hands previously drained envelopes to this network's pool.
-//
-//ccsvm:pooled put
-func (t *Torus) SeedFreeList(ms []*Message) { t.pool.seed(ms) }
-
 // Attach implements Network.
 func (t *Torus) Attach(id NodeID, r Receiver) {
 	if _, ok := t.receivers[id]; ok {

@@ -663,44 +663,3 @@ func (e *Engine) RunFor(d Duration) int { return e.RunUntil(e.now.Add(d)) }
 
 // Stop makes Run/RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Reset returns the engine to its construction state — time zero, empty
-// queue, zero counters, fresh trace fingerprint — while keeping the event
-// free list and the calendar/heap backing arrays at their high-water
-// capacity. Queued events (canceled or not) are recycled onto the free list.
-// It is the engine half of cross-run arena reuse: a Reset engine schedules
-// its first warmup-sized burst of events without allocating, yet is
-// observationally identical to a NewEngine. Reset panics if an event is
-// still checked out and firing, which would mean it is being called from
-// inside a callback.
-func (e *Engine) Reset() {
-	for i := range e.cal {
-		bk := &e.cal[i]
-		for j := bk.head; j < len(bk.events); j++ {
-			ev := bk.events[j]
-			bk.events[j] = nil
-			e.release(ev)
-		}
-		bk.events = bk.events[:0]
-		bk.head = 0
-		bk.sorted = true
-	}
-	for i := range e.overflow {
-		ev := e.overflow[i]
-		e.overflow[i] = nil
-		e.release(ev)
-	}
-	e.overflow = e.overflow[:0]
-	if e.live != 0 {
-		panic(fmt.Sprintf("sim: Reset with %d events still checked out", e.live))
-	}
-	e.now, e.seq = 0, 0
-	e.next = nil
-	e.stopped = false
-	e.calCount, e.calScan = 0, 0
-	e.pending = 0
-	e.executed = 0
-	e.traceHash = fnvOffset
-	e.preSchedule = nil
-	e.hookArmed = false
-}

@@ -13,6 +13,9 @@
 //	GET  /cache/stats cache tier counters plus serving counters
 //	GET  /healthz     liveness
 //
+// A POST body must be exactly one JSON value of at most 1 MiB: trailing
+// data is a 400 and an over-size body a 413.
+//
 // Admission is a bounded slot pool (one slot per admitted request — a sweep
 // holds one slot for its whole stream); past the bound, requests are
 // rejected with 503 rather than queued without limit. Within admission,

@@ -248,7 +248,7 @@ func marshalRunResponse(key resultcache.Key, spec ccsvm.RunSpec, res ccsvm.Resul
 // handleRun serves POST /run: one spec, one JSON document.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req SpecRequest
-	if aerr := decodeJSON(r, &req); aerr != nil {
+	if aerr := decodeJSON(w, r, &req); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
@@ -279,7 +279,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // while execution proceeds in parallel with coalescing and caching.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if aerr := decodeJSON(r, &req); aerr != nil {
+	if aerr := decodeJSON(w, r, &req); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
@@ -350,16 +350,33 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// decodeJSON strictly decodes a request body: malformed JSON and unknown
-// fields are 400s so schema typos fail loudly instead of running a default
-// spec.
-func decodeJSON(r *http.Request, into any) *apiError {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body. A /sweep of a few thousand specs fits;
+// anything larger is refused before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON strictly decodes a request body holding exactly one JSON value:
+// malformed JSON, unknown fields and trailing data are 400s so schema typos
+// fail loudly instead of running a default spec, and a body over
+// maxBodyBytes is a 413.
+func decodeJSON(w http.ResponseWriter, r *http.Request, into any) *apiError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return &apiError{status: http.StatusBadRequest, kind: "bad_request", msg: "bad request body: " + err.Error()}
+	err := dec.Decode(into)
+	if err == nil {
+		// Exactly one value: the next token must be the end of the body.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, kind: "body_too_large",
+			msg: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)}
+	}
+	return &apiError{status: http.StatusBadRequest, kind: "bad_request", msg: "bad request body: " + err.Error()}
 }
 
 // writeError renders a typed error as its status and JSON body.

@@ -282,8 +282,8 @@ func TestRunCacheHit(t *testing.T) {
 }
 
 // TestHandlerErrors pins the error taxonomy: malformed bodies are 400s,
-// unknown names are 404s, structurally impossible requests are 422s, and
-// wrong methods are 405s.
+// over-size bodies are 413s, unknown names are 404s, structurally impossible
+// requests are 422s, and wrong methods are 405s.
 func TestHandlerErrors(t *testing.T) {
 	_, ts := newTestServer(t, sweepd.Config{})
 	cases := []struct {
@@ -309,6 +309,11 @@ func TestHandlerErrors(t *testing.T) {
 		{"unbuildable apu cache geometry", "/run", `{"workload":"matmul","system":"cpu","overrides":["apu.CPUCaches.L2.SizeBytes=1000"]}`, http.StatusUnprocessableEntity, "out_of_range"},
 		{"wrong machine override", "/run", `{"workload":"matmul","system":"ccsvm","overrides":["apu.NumCPUs=2"]}`, http.StatusUnprocessableEntity, "machine_mismatch"},
 		{"sweep bad spec", "/sweep", `{"specs":[{"workload":"matmul","system":"ccsvm"},{"workload":"nope","system":"ccsvm"}]}`, http.StatusNotFound, "unknown_workload"},
+		// A valid spec must be the whole body: a second value or junk after
+		// it is rejected, not silently dropped.
+		{"trailing data", "/run", `{"workload":"vectoradd","system":"ccsvm","params":{"n":16,"seed":7}} {"workload":"nope"} garbage`, http.StatusBadRequest, "bad_request"},
+		// A valid spec padded past the 1 MiB body bound.
+		{"oversize body", "/run", `{"workload":"vectoradd","system":"ccsvm","params":{"n":16,"seed":7}}` + strings.Repeat(" ", 1<<20), http.StatusRequestEntityTooLarge, "body_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

