@@ -10,8 +10,9 @@ test:
 	go test ./...
 
 # The repository's own static-analysis suite (internal/lint, run by CI):
-# determinism, pool-ownership, engine-context and hot-path invariants, plus
-# //ccsvm: directive hygiene. See ARCHITECTURE.md "Static enforcement".
+# determinism, pool-ownership, engine-context and allocation-free hot-path
+# invariants, plus //ccsvm: directive hygiene. See ARCHITECTURE.md "Static
+# enforcement".
 lint:
 	go vet ./...
 	go run ./cmd/ccsvm-lint ./...

@@ -1,13 +1,17 @@
 // ccsvm-lint runs the ccsvm static-analysis suite (internal/lint) over the
-// repository: determinism, pool-ownership, engine-context and hot-path
-// enforcement, plus //ccsvm: directive hygiene. It is the multichecker CI
-// runs; a non-zero exit means findings (1) or a load failure (2).
+// repository: determinism, pool-ownership, engine-context and
+// allocation-free hot-path enforcement, plus //ccsvm: directive hygiene. It
+// is the multichecker CI runs; a non-zero exit means findings (1) or a load
+// failure (2).
 //
 // Usage:
 //
 //	go run ./cmd/ccsvm-lint ./...
-//	go run ./cmd/ccsvm-lint -only determinism,hotpath ./internal/sim
+//	go run ./cmd/ccsvm-lint -only determinism,allocfree ./internal/sim
 //	go run ./cmd/ccsvm-lint -format sarif ./... > lint.sarif
+//	go run ./cmd/ccsvm-lint -list
+//
+// -list prints the analyzer names, one a line, and exits.
 //
 // -format selects the report rendering: text (default, one line per
 // finding), json (a small stable schema for scripting), or sarif (SARIF
@@ -31,7 +35,7 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	format := flag.String("format", "text", "report format: text, json or sarif")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ccsvm-lint [-only names] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: ccsvm-lint [-list] [-only names] [-format text|json|sarif] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n                   "))
 		}

@@ -62,8 +62,6 @@ func (c Config) NumSets() int {
 
 // Array is a set-associative structure with LRU replacement. It stores no
 // data, only tags and state; functional data lives in mem.Physical.
-//
-//ccsvm:state
 type Array struct {
 	cfg Config
 	// sets[i] holds set i's materialised ways, in way order. A set is nil

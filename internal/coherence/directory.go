@@ -72,8 +72,6 @@ type BankConfig struct {
 // DirectoryBank is one bank of the shared L2 cache with its embedded
 // directory. It owns an interleaved slice of the physical address space and a
 // DRAM channel for misses and writebacks.
-//
-//ccsvm:state
 type DirectoryBank struct {
 	engine *sim.Engine
 	id     noc.NodeID
@@ -91,8 +89,7 @@ type DirectoryBank struct {
 	// pool recycles protocol messages (see msgPool for the ownership rules);
 	// processFn is the post-access-latency continuation bound once so the
 	// per-message Receive path schedules without allocating a closure.
-	pool msgPool
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	pool      msgPool
 	processFn func(any)
 
 	// skipInvs is the fault-injection budget armed by

@@ -3,18 +3,22 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"sort"
 	"strings"
 
 	"ccsvm/internal/lint/analysis"
 )
 
-// AllocFree extends the hot-path contract from "no capturing closures at
-// schedule sites" to "no heap allocation at all": inside functions annotated
-// //ccsvm:hotpath it flags every construct that allocates (or may allocate)
-// on the steady-state path — make/new, append growth, slice, map and escaping
-// composite literals, capturing closures, interface boxing of non-pointer
-// values, non-constant string concatenation, string<->[]byte conversions and
-// any call into package fmt. Reviewed exceptions (amortized pool-chunk
+// AllocFree enforces the hot-path contract "no heap allocation at all":
+// inside functions annotated //ccsvm:hotpath it flags every construct that
+// allocates (or may allocate) on the steady-state path — make/new, append
+// growth, slice, map and escaping composite literals, capturing closures and
+// method values (a closure over the receiver), interface boxing of
+// non-pointer values, non-constant string concatenation, string<->[]byte
+// conversions and any call into package fmt. The closure rules are the
+// closure-free scheduling contract: a callback handed to the engine is bound
+// once at construction and scheduled with AtArg/ScheduleArg, carrying the
+// per-event state in the argument. Reviewed exceptions (amortized pool-chunk
 // refills, slices that grow to a high-water mark and are reused) are
 // annotated //ccsvm:allocok on the same or previous line. Arguments being
 // marshaled for a panic are exempt: the crash path is not the hot path.
@@ -65,6 +69,9 @@ func (af *allocChecker) report(n ast.Node, format string, args ...any) {
 // one is flagged at the creation site); panic call arguments are skipped
 // because the crash path is not the hot path.
 func (af *allocChecker) check(body *ast.BlockStmt) {
+	// callees holds the selectors in call position: c.tick() calls the
+	// method directly, while c.tick alone builds a closure over c.
+	callees := make(map[*ast.SelectorExpr]bool)
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -77,7 +84,18 @@ func (af *allocChecker) check(body *ast.BlockStmt) {
 			return false
 
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				callees[sel] = true
+			}
 			return af.call(n)
+
+		case *ast.SelectorExpr:
+			sel := af.pass.TypesInfo.Selections[n]
+			if sel != nil && sel.Kind() == types.MethodVal && !callees[n] {
+				af.report(n, "method value %s allocates a closure on the hot path; "+
+					"bind the callback once and pass state through its argument", exprString(n))
+			}
+			return true
 
 		case *ast.CompositeLit:
 			af.compositeLit(n, false)
@@ -320,4 +338,39 @@ func isByteOrRuneSlice(t types.Type) bool {
 	b, ok := types.Unalias(s.Elem()).Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+}
+
+// capturedVars returns the names of local variables of the enclosing function
+// that the literal captures (references to objects declared outside the
+// literal but below package scope). A literal that captures nothing compiles
+// to a static function value and is allowed on hot paths.
+func capturedVars(pass *analysis.Pass, lit *ast.FuncLit) []string {
+	seen := make(map[string]bool)
+	var names []string
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok || v.IsField() {
+			return true
+		}
+		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
+			return true // the literal's own parameters and locals
+		}
+		if v.Parent() == pass.Pkg.Scope() || v.Parent() == types.Universe {
+			return true // package-level variables are not captures
+		}
+		if v.Pkg() != pass.Pkg {
+			return true
+		}
+		if !seen[v.Name()] {
+			seen[v.Name()] = true
+			names = append(names, v.Name())
+		}
+		return true
+	})
+	sort.Strings(names)
+	return names
 }

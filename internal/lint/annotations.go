@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -23,8 +25,8 @@ const (
 	// any call chain reaching it from a workload-goroutine entry point.
 	DirEngineCtx = "enginectx"
 	// DirHotPath marks a function on the allocation-free hot path: the
-	// hotpath analyzer forbids capturing closures passed to the engine's
-	// At/Schedule family inside it.
+	// allocfree analyzer forbids every heap-allocating construct inside it,
+	// capturing closures and method values included.
 	DirHotPath = "hotpath"
 	// DirThreadEntry marks an API whose function-valued arguments become
 	// workload-goroutine bodies (exec.NewThread and its wrappers); the
@@ -43,14 +45,6 @@ const (
 	// claim that the allocation is amortized (pool chunk refill, slice
 	// growth to a high-water mark) or otherwise off the steady-state path.
 	DirAllocOk = "allocok"
-	// DirState marks a machine-state root type: the statesafe analyzer
-	// requires its reachable field closure to be checkpointable — free of
-	// func values, channels, unsafe.Pointer and sync primitives.
-	DirState = "state"
-	// DirStateOk waives one struct field from the statesafe closure walk; it
-	// is a reviewed claim that the field is rebuilt (not serialized) on
-	// checkpoint restore.
-	DirStateOk = "stateok"
 )
 
 // directivePrefix introduces every ccsvm directive comment.
@@ -79,8 +73,8 @@ type AnnotationError struct {
 type Annotations struct {
 	// Pkg holds package-level directives (currently only deterministic).
 	Pkg []Directive
-	// ByObj maps annotated functions, methods, interface methods, types and
-	// struct fields to their directives.
+	// ByObj maps annotated functions, methods and interface methods to their
+	// directives.
 	ByObj map[types.Object][]Directive
 	// floatingLines records the file lines carrying each floating directive
 	// kind, keyed by kind, then filename, then line.
@@ -145,8 +139,8 @@ func (a *Annotations) AllocOkAt(fset *token.FileSet, pos token.Pos) bool {
 // directiveSpec describes where each directive kind may appear and whether it
 // takes an argument.
 var directiveSpec = map[string]struct {
-	onPackage, onFunc, onType, onField, floating bool
-	args                                         []string // allowed argument values; nil means no argument
+	onPackage, onFunc, floating bool
+	args                        []string // allowed argument values; nil means no argument
 }{
 	DirDeterministic:  {onPackage: true},
 	DirEngineCtx:      {onFunc: true},
@@ -155,8 +149,6 @@ var directiveSpec = map[string]struct {
 	DirPooled:         {onFunc: true, args: []string{"get", "put"}},
 	DirOrderInvariant: {floating: true},
 	DirAllocOk:        {floating: true},
-	DirState:          {onType: true},
-	DirStateOk:        {onField: true},
 }
 
 // ParseAnnotations extracts every //ccsvm: directive of the package, resolving
@@ -201,23 +193,19 @@ func (a *Annotations) parseFile(fset *token.FileSet, file *ast.File, info *types
 				attached[decl.Doc] = true
 				// The doc comment of a non-parenthesized `type T ...`
 				// declaration attaches to the GenDecl, not the TypeSpec.
-				if ts, ok := singleTypeSpec(decl); ok {
-					obj := info.Defs[ts.Name]
-					for _, d := range a.parseGroup(decl.Doc) {
-						a.place(d, "type", func() { a.ByObj[obj] = append(a.ByObj[obj], d) })
-					}
-				} else {
-					for _, d := range a.parseGroup(decl.Doc) {
-						a.misplaced(d, "declaration")
-					}
+				where := "declaration"
+				if decl.Tok == token.TYPE && len(decl.Specs) == 1 && !decl.Lparen.IsValid() {
+					where = "type"
+				}
+				for _, d := range a.parseGroup(decl.Doc) {
+					a.misplaced(d, where)
 				}
 			}
 		case *ast.TypeSpec:
 			if decl.Doc != nil {
 				attached[decl.Doc] = true
-				obj := info.Defs[decl.Name]
 				for _, d := range a.parseGroup(decl.Doc) {
-					a.place(d, "type", func() { a.ByObj[obj] = append(a.ByObj[obj], d) })
+					a.misplaced(d, "type")
 				}
 			}
 			if decl.Comment != nil {
@@ -246,16 +234,7 @@ func (a *Annotations) parseFile(fset *token.FileSet, file *ast.File, info *types
 					continue
 				}
 				for _, d := range a.parseGroup(group) {
-					if len(decl.Names) == 0 {
-						a.misplaced(d, "field") // embedded fields cannot be annotated
-						continue
-					}
-					a.place(d, "field", func() {
-						for _, name := range decl.Names {
-							obj := info.Defs[name]
-							a.ByObj[obj] = append(a.ByObj[obj], d)
-						}
-					})
+					a.misplaced(d, "field")
 				}
 			}
 		}
@@ -301,25 +280,12 @@ func interfaceMethodObj(f *ast.Field, info *types.Info) types.Object {
 	return nil
 }
 
-// singleTypeSpec returns the lone TypeSpec of a non-parenthesized type
-// declaration, whose doc comment attaches to the GenDecl.
-func singleTypeSpec(decl *ast.GenDecl) (*ast.TypeSpec, bool) {
-	if decl.Tok != token.TYPE || len(decl.Specs) != 1 || decl.Lparen.IsValid() {
-		return nil, false
-	}
-	ts, ok := decl.Specs[0].(*ast.TypeSpec)
-	return ts, ok
-}
-
-// place validates a directive's placement ("package", "function", "type",
-// "field" or "floating") and either applies it via apply or records an
-// error.
+// place validates a directive's placement ("package", "function" or
+// "floating") and either applies it via apply or records an error.
 func (a *Annotations) place(d Directive, where string, apply func()) {
 	spec := directiveSpec[d.Kind]
 	ok := (where == "package" && spec.onPackage) ||
 		(where == "function" && spec.onFunc) ||
-		(where == "type" && spec.onType) ||
-		(where == "field" && spec.onField) ||
 		(where == "floating" && spec.floating)
 	if !ok {
 		a.misplaced(d, where)
@@ -336,12 +302,6 @@ func (a *Annotations) misplaced(d Directive, where string) {
 	}
 	if spec.onFunc {
 		allowed = append(allowed, "a function, method or interface-method doc comment")
-	}
-	if spec.onType {
-		allowed = append(allowed, "a type declaration doc comment")
-	}
-	if spec.onField {
-		allowed = append(allowed, "a named struct field")
 	}
 	if spec.floating {
 		allowed = append(allowed, "a statement inside a function body")
@@ -407,7 +367,7 @@ func (a *Annotations) parseGroup(group *ast.CommentGroup) []Directive {
 			})
 			continue
 		case spec.args != nil:
-			if len(fields) != 2 || !contains(spec.args, fields[1]) {
+			if len(fields) != 2 || !slices.Contains(spec.args, fields[1]) {
 				a.Errors = append(a.Errors, AnnotationError{
 					Pos: c.Pos(),
 					Msg: fmt.Sprintf("directive ccsvm:%s requires exactly one argument out of: %s",
@@ -423,25 +383,5 @@ func (a *Annotations) parseGroup(group *ast.CommentGroup) []Directive {
 }
 
 func knownDirectives() string {
-	names := make([]string, 0, len(directiveSpec))
-	for k := range directiveSpec {
-		names = append(names, k)
-	}
-	// Map iteration order is irrelevant for an error message, but sort for
-	// stable output anyway.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return strings.Join(names, ", ")
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return strings.Join(slices.Sorted(maps.Keys(directiveSpec)), ", ")
 }

@@ -67,3 +67,36 @@ func Greeting() string {
 	const hello = "hello, " + "world"
 	return hello
 }
+
+// tick is a method the hot paths below call and schedule.
+func (q *Queue) tick() {}
+
+// schedule stands in for the engine's At/Schedule family.
+func schedule(fn func()) {}
+
+// scheduleArg stands in for the engine's AtArg/ScheduleArg.
+func scheduleArg(fn func(any), arg any) {}
+
+// Drive calls methods directly, schedules a named function and a prebound
+// callback, and takes a method expression: none allocates.
+//
+//ccsvm:hotpath
+func Drive(q *Queue) {
+	q.tick()
+	(q.tick)()
+	defer q.tick()
+	schedule(Tick)
+	scheduleArg(q.handler, q)
+	f := (*Queue).tick
+	f(q)
+}
+
+// Tick is a plain function; its value is static.
+func Tick() {}
+
+// Arm binds a method value once per arming, a reviewed allocation.
+//
+//ccsvm:hotpath
+func Arm(q *Queue) {
+	schedule(q.tick) //ccsvm:allocok // armed once per run, not per event
+}

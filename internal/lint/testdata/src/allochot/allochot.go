@@ -50,9 +50,58 @@ func HotVar(n int) {
 	_ = v
 }
 
+// Ctrl is a controller whose methods schedule callbacks.
+type Ctrl struct {
+	n int
+}
+
+// schedule stands in for the engine's At/Schedule family; allocfree flags a
+// capturing closure or method value wherever it appears, not only at
+// schedule sites.
+func schedule(fn func()) {}
+
+// use consumes a value inside the scheduled closures.
+func use(int) {}
+
+// tick is the method the method-value cases below pass around.
+func (c *Ctrl) tick() {}
+
+// HotSchedule passes a closure capturing a parameter.
+//
+//ccsvm:hotpath
+func HotSchedule(n int) {
+	schedule(func() { // want "capturing closure"
+		use(n)
+	})
+}
+
+// Recv captures its receiver in a scheduled callback.
+//
+//ccsvm:hotpath
+func (c *Ctrl) Recv() {
+	schedule(func() { // want "captures c"
+		c.n++
+	})
+}
+
+// HotMethodValue passes bound method values, each a closure over its
+// receiver: as an argument, through a variable, parenthesized, and from an
+// interface.
+//
+//ccsvm:hotpath
+func (c *Ctrl) HotMethodValue(s fmt.Stringer) {
+	schedule(c.tick)   // want "method value c.tick allocates a closure on the hot path"
+	f := c.Recv        // want "method value c.Recv allocates a closure"
+	schedule((c.tick)) // want "method value c.tick allocates a closure"
+	g := s.String      // want "method value s.String allocates a closure"
+	_, _ = f, g
+}
+
 // Cold performs the same allocations without the annotation; nothing is
 // flagged.
-func Cold(n int, name string) ([]int, string) {
+func Cold(n int, name string, c *Ctrl) ([]int, string) {
+	schedule(func() { use(n) })
+	schedule(c.tick)
 	s := make([]int, n)
 	return append(s, 1), name + "!"
 }

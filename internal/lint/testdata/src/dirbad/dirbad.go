@@ -25,11 +25,17 @@ type T int
 //ccsvm:deterministic // want "not allowed on a function"
 func Misplaced() {}
 
-//ccsvm:state // want "not allowed on a function; it belongs on a type declaration doc comment"
-func StateOnFunc() {}
-
-//ccsvm:stateok // want "not allowed on a type; it belongs on a named struct field"
+// The retired machine-state directives are unknown directives too, so a
+// leftover annotation fails the build instead of lingering silently.
+//
+//ccsvm:state // want "unknown directive ccsvm:state \\(known: "
 type W int
+
+// V has a leftover field waiver.
+type V struct {
+	//ccsvm:stateok // want "unknown directive ccsvm:stateok \\(known: "
+	f func()
+}
 
 // ccsvm:hotpath // want "space between"
 func Spaced() {}

@@ -22,8 +22,6 @@ type CrossbarConfig struct {
 
 // Crossbar is a contention-light interconnect: every message pays the fixed
 // latency plus serialization against one shared bandwidth pool.
-//
-//ccsvm:state
 type Crossbar struct {
 	cfg       CrossbarConfig
 	engine    *sim.Engine
@@ -32,8 +30,7 @@ type Crossbar struct {
 
 	// pool recycles delivered messages; deliverFn is bound once so delivery
 	// scheduling allocates no closure.
-	pool msgPool
-	//ccsvm:stateok // bound once at construction; rebound on restore
+	pool      msgPool
 	deliverFn func(any)
 
 	msgs  *stats.Counter
