@@ -67,7 +67,8 @@ var (
 	ErrUnknownPath = workloads.ErrUnknownPath
 	// ErrBadValue reports a value that does not parse as the field's type.
 	ErrBadValue = workloads.ErrBadValue
-	// ErrOutOfRange reports a value that leaves the configuration invalid.
+	// ErrOutOfRange reports a value that leaves the configuration invalid,
+	// or a workload parameter out of range.
 	ErrOutOfRange = workloads.ErrOutOfRange
 	// ErrMachineMismatch reports a preset or override applied to a system
 	// that runs on the other machine.

@@ -75,9 +75,8 @@ func TestSteadyStateTransactionAllocs(t *testing.T) {
 			t.Run(proto.Name+"/"+tc.name, func(t *testing.T) {
 				s := newTestSystemProto(t, tc.cores, 1, proto)
 				s.run(tc.warm)
-				// Warm up long enough for simulated time to wrap the engine's
-				// calendar ring several times, so every bucket has reached its
-				// high-water capacity.
+				// Warm up long enough for the engine's event heap, free list
+				// and every pool to reach their high-water capacity.
 				for i := 0; i < 500; i++ {
 					s.run(tc.cycle)
 				}

@@ -21,26 +21,24 @@ type Event struct {
 	// are pointer-shaped, so neither form boxes on the heap). One callback
 	// word instead of the historical fn/afn pair keeps the Event at 48 bytes —
 	// under one cache line — with the ordering keys (when, seq) leading the
-	// struct where the sort and heap comparisons touch them.
+	// struct where the heap comparisons touch them.
 	fn  func(any)
 	arg any
-	// canceled marks events removed with Cancel; they stay queued and are
-	// recycled when drained.
-	canceled bool
-	// index is the position in the overflow heap, or one of the sentinel
-	// states below. int32 packs it beside canceled in the struct's last word;
-	// an overflow heap of 2^31 events would be hundreds of gigabytes.
-	index int32
+	// state is where the object is in its life cycle (see eventState).
+	state eventState
 }
 
-// Sentinel index values for events that are not in the overflow heap.
+// eventState tracks an Event object between the free list and the queue.
+type eventState uint8
+
 const (
-	// indexFiring marks an event popped from the heap but not yet released.
-	indexFiring = -1
-	// indexPooled marks an event sitting on the free list.
-	indexPooled = -2
-	// indexBucketed marks an event stored in a calendar bucket.
-	indexBucketed = -3
+	// eventQueued marks a scheduled event waiting in the heap.
+	eventQueued eventState = iota
+	// eventCanceled marks an event removed with Cancel; it stays in the heap
+	// and is released when it reaches the top.
+	eventCanceled
+	// eventPooled marks an event sitting on the free list.
+	eventPooled
 )
 
 // When reports the simulated time at which the event fires.
@@ -59,41 +57,12 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Calendar-queue geometry: calBuckets buckets of 2^calShift picoseconds each
-// form a ring covering the near future (64 buckets x 1024 ps = ~65 ns, enough
-// for every per-cycle, per-hop, and DRAM-latency event of the modeled chips).
-// Events beyond the window go to the binary heap instead and are popped from
-// there; because simulated time only moves forward, a bucket slot never holds
-// events from two different laps of the ring (see the invariant note on
-// insert).
-const (
-	calShift      = 10
-	calBuckets    = 64
-	calBucketMask = calBuckets - 1
-)
-
-// calBucket holds the events of one bucket-width time slice, consumed from
-// head. The slice is kept unsorted on insert and lazily sorted by (time, seq)
-// the first time the bucket is drained; the backing array is reused once the
-// bucket empties.
-type calBucket struct {
-	events []*Event
-	head   int
-	sorted bool
-}
-
-//ccsvm:hotpath
-func (b *calBucket) push(ev *Event) {
-	if b.head == len(b.events) {
-		b.events = b.events[:0]
-		b.head = 0
-		b.sorted = true
-	}
-	if n := len(b.events); b.sorted && n > b.head && eventLess(ev, b.events[n-1]) {
-		b.sorted = false
-	}
-	b.events = append(b.events, ev) //ccsvm:allocok // recycled backing array, grows to bucket high-water mark
-}
+// heapArity is the fan-out of the event heap. A 4-ary heap is half as deep
+// as a binary one and a node's children are adjacent in the slice. Against
+// arity 2 in a same-host A/B of the paper series neither won on every
+// series, and arity 4 keeps matmul/opencl's ~970-event queue five levels
+// deep.
+const heapArity = 4
 
 // Engine is a single-threaded discrete-event simulation engine.
 //
@@ -102,40 +71,29 @@ func (b *calBucket) push(ev *Event) {
 // (time, insertion-order) order, so a simulation with the same inputs always
 // produces bit-identical results.
 //
-// The queue is two-level: near-future events go into a bucketed calendar ring
-// (O(1) insert, cheap pop), far-future events into a binary heap. Both
-// structures drain in the same (time, seq) total order, so the split is
-// invisible to component models. Event objects are free-listed (see Event).
-//
-// Dispatch is fused: the engine caches the next-event candidate (next) so the
-// common Step — pop the head of the already-sorted current bucket, run it,
-// promote its successor — never rescans the calendar ring or the heap top.
-// The cache is invalidated by the only operations that can change the front
-// of the queue: scheduling an event earlier than the candidate, and canceling
-// the candidate itself.
+// The queue is one 4-ary min-heap of events ordered by (time, seq). Cancel
+// is lazy: it marks the event, which stays in the heap until it reaches the
+// top and is released there, so events need no heap position. Step leaves
+// the fired event's root slot as a hole for the callback's first schedule,
+// so the common fire-one-schedule-one step costs a single sift-down. Event
+// objects are free-listed (see Event).
 type Engine struct {
 	now Time
 	seq uint64
 
-	// next is the cached next-event candidate: nil means unknown (recompute
-	// via refill), non-nil means it is the earliest live event and sits at
-	// the front of its container — the head of the sorted bucket at calScan,
-	// or the top of the overflow heap.
-	next *Event
-
-	// overflow is a concrete binary min-heap ordered by eventLess; push/pop
-	// are open-coded (heapPush/heapPopTop) so they inline without the
-	// interface dispatch and any-boxing of container/heap.
-	overflow []*Event
-	stopped  bool
-
-	// cal is the near-future bucket ring; calCount counts the entries that
-	// still sit in buckets (including canceled ones awaiting drain); calScan
-	// is a monotone lower bound on the smallest live bucket index, used to
-	// resume the bucket scan without rescanning known-empty slots.
-	cal      [calBuckets]calBucket
-	calCount int
-	calScan  int64
+	// queue is the event heap: queue[0] is the minimum under eventLess
+	// (unless hole is set) and the children of queue[i] are
+	// queue[heapArity*i+1 ...+heapArity]. It holds canceled events until
+	// they reach the top.
+	queue   []*Event
+	stopped bool
+	// hole marks queue[0] as the stale slot of the event Step last fired.
+	// The next push fills it by sifting the new event down from the root;
+	// failing that, the next peek moves the tail there. A callback that
+	// schedules exactly one successor (92-99% of the events of the four
+	// paper series measured) thus costs one sift instead of a pop's
+	// sift-down plus a push's sift-up.
+	hole bool
 
 	// free is the event free list; fresh events are allocated in chunks.
 	free []*Event
@@ -217,10 +175,10 @@ func fnvMix(h, v uint64) uint64 {
 	return (h ^ v) * fnvPrime
 }
 
-// eventChunk is how many Event objects one free-list refill allocates.
+// eventChunk is how many Event objects the free list grows by when empty.
 const eventChunk = 64
 
-// alloc takes an event from the free list, refilling it a chunk at a time.
+// alloc takes an event from the free list, growing it a chunk at a time.
 //
 //ccsvm:pooled get
 //ccsvm:hotpath
@@ -232,9 +190,9 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	chunk := make([]Event, eventChunk) //ccsvm:allocok // amortized chunk refill, 1/64 gets
+	chunk := make([]Event, eventChunk) //ccsvm:allocok // amortized chunk allocation, 1/64 gets
 	for i := range chunk {
-		chunk[i].index = indexPooled
+		chunk[i].state = eventPooled
 	}
 	for i := 1; i < len(chunk); i++ {
 		e.free = append(e.free, &chunk[i]) //ccsvm:allocok // free list grows with the chunk
@@ -247,101 +205,103 @@ func (e *Engine) alloc() *Event {
 //ccsvm:pooled put
 //ccsvm:hotpath
 func (e *Engine) release(ev *Event) {
-	if ev.index == indexPooled {
+	if ev.state == eventPooled {
 		panic("sim: double release of a pooled event")
 	}
 	e.live--
 	ev.fn = nil
 	ev.arg = nil
-	ev.canceled = false
-	ev.index = indexPooled
+	ev.state = eventPooled
 	e.free = append(e.free, ev) //ccsvm:allocok // free list returns to its high-water mark
 }
 
-// heapPush adds ev to the overflow heap and sifts it up. Open-coded
-// container/heap.Push without the interface dispatch.
+// push adds ev to the heap: into the hole Step left at the root if there is
+// one, else at the tail, sifted up.
 //
 //ccsvm:hotpath
-func (e *Engine) heapPush(ev *Event) {
-	h := append(e.overflow, ev) //ccsvm:allocok // overflow heap grows to its high-water mark
+func (e *Engine) push(ev *Event) {
+	if e.hole {
+		e.hole = false
+		e.siftDown(ev)
+		return
+	}
+	h := append(e.queue, ev) //ccsvm:allocok // heap grows to its high-water mark
 	j := len(h) - 1
-	ev.index = int32(j)
 	for j > 0 {
-		parent := (j - 1) / 2
-		if !eventLess(h[j], h[parent]) {
+		parent := (j - 1) / heapArity
+		p := h[parent]
+		if !eventLess(ev, p) {
 			break
 		}
-		h[j], h[parent] = h[parent], h[j]
-		h[j].index = int32(j)
-		h[parent].index = int32(parent)
+		h[j] = p
 		j = parent
 	}
-	e.overflow = h
+	h[j] = ev
+	e.queue = h
 }
 
-// heapPopTop removes the heap's minimum (h[0]) and sifts the displaced tail
-// element down. Open-coded container/heap.Pop without the interface dispatch
-// or any-boxing of the removed event.
+// popTop removes the heap's minimum (queue[0]) and sifts the displaced tail
+// event down from the root.
 //
 //ccsvm:hotpath
-func (e *Engine) heapPopTop() *Event {
-	h := e.overflow
-	top := h[0]
-	top.index = indexFiring
+func (e *Engine) popTop() {
+	h := e.queue
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = nil
-	h = h[:n]
-	e.overflow = h
-	if n > 1 {
-		i := 0
-		h[0].index = 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && eventLess(h[r], h[l]) {
-				m = r
-			}
-			if !eventLess(h[m], h[i]) {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			h[i].index = int32(i)
-			h[m].index = int32(m)
-			i = m
-		}
-	} else if n == 1 {
-		h[0].index = 0
+	e.queue = h[:n]
+	if n > 0 {
+		e.siftDown(last)
 	}
-	return top
 }
 
-// insert places a scheduled event into the calendar window or the overflow
-// heap, invalidating the cached next candidate when the new event precedes
-// it. Invariant: every bucketed event's bucket index lies in
-// [now>>calShift, now>>calShift + calBuckets), so a ring slot never mixes
-// events from different laps — time only moves forward, and events further
-// out go to the heap.
+// siftDown places ev at the root, replacing queue[0], and sifts it down.
 //
 //ccsvm:hotpath
-func (e *Engine) insert(ev *Event) {
-	b := int64(ev.when) >> calShift
-	if b-(int64(e.now)>>calShift) < calBuckets {
-		ev.index = indexBucketed
-		e.cal[b&calBucketMask].push(ev)
-		if e.calCount == 0 || b < e.calScan {
-			e.calScan = b
+func (e *Engine) siftDown(ev *Event) {
+	h := e.queue
+	n := len(h)
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
 		}
-		e.calCount++
-	} else {
-		e.heapPush(ev)
+		kids := h[first:min(first+heapArity, n)]
+		m, least := 0, kids[0]
+		for k, c := range kids[1:] {
+			if eventLess(c, least) {
+				m, least = k+1, c
+			}
+		}
+		if !eventLess(least, ev) {
+			break
+		}
+		h[i] = least
+		i = first + m
 	}
-	if e.next != nil && eventLess(ev, e.next) {
-		e.next = nil
+	h[i] = ev
+}
+
+// peek returns the earliest live event, leaving it at the top of the heap,
+// or nil when no live event is queued. It first fills a hole Step left, and
+// it pops and releases canceled events that reach the top.
+//
+//ccsvm:hotpath
+func (e *Engine) peek() *Event {
+	if e.hole {
+		e.hole = false
+		e.popTop()
 	}
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
+		if ev.state != eventCanceled {
+			return ev
+		}
+		e.popTop()
+		e.release(ev)
+	}
+	return nil
 }
 
 // SetScheduleHook installs fn to run at the top of every At/AtArg, before
@@ -373,9 +333,9 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.when, ev.seq, ev.fn, ev.arg = t, e.seq, callClosure, fn
+	ev.when, ev.seq, ev.fn, ev.arg, ev.state = t, e.seq, callClosure, fn, eventQueued
 	e.seq++
-	e.insert(ev)
+	e.push(ev)
 	e.pending++
 	return ev
 }
@@ -395,9 +355,9 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.when, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
+	ev.when, ev.seq, ev.fn, ev.arg, ev.state = t, e.seq, fn, arg, eventQueued
 	e.seq++
-	e.insert(ev)
+	e.push(ev)
 	e.pending++
 	return ev
 }
@@ -430,153 +390,24 @@ func (e *Engine) ScheduleArg(delay Duration, fn func(any), arg any) *Event {
 //
 //ccsvm:hotpath
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index == indexPooled || ev.index == indexFiring {
+	if ev == nil || ev.state != eventQueued {
 		return
 	}
-	if ev == e.next {
-		e.next = nil
-	}
-	ev.canceled = true
+	ev.state = eventCanceled
 	ev.fn = nil
 	ev.arg = nil
 	e.pending--
 }
 
-// sortEvents orders a bucket tail by (time, seq) with an allocation-free
-// insertion sort; buckets hold at most a bucket-width of events, so they stay
-// small enough that insertion sort beats the reflective sort.Slice.
-//
-//ccsvm:hotpath
-func sortEvents(evs []*Event) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && eventLess(ev, evs[j]) {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = ev
-	}
-}
-
-// peekCal returns the earliest live bucketed event, draining canceled ones,
-// or nil when the calendar is empty. It leaves calScan at the returned
-// event's bucket index so the fused pop can remove it without rescanning.
-//
-//ccsvm:hotpath
-func (e *Engine) peekCal() *Event {
-	if e.calCount == 0 {
-		return nil
-	}
-	if nowB := int64(e.now) >> calShift; e.calScan < nowB {
-		e.calScan = nowB
-	}
-	for i := 0; i < calBuckets; i++ {
-		b := e.calScan + int64(i)
-		bk := &e.cal[b&calBucketMask]
-		for bk.head < len(bk.events) {
-			if !bk.sorted {
-				sortEvents(bk.events[bk.head:])
-				bk.sorted = true
-			}
-			ev := bk.events[bk.head]
-			if ev.canceled {
-				bk.events[bk.head] = nil
-				bk.head++
-				e.calCount--
-				e.release(ev)
-				continue
-			}
-			e.calScan = b
-			return ev
-		}
-		if e.calCount == 0 {
-			return nil
-		}
-	}
-	panic("sim: calendar count positive but no event within the window")
-}
-
-// peekOverflow returns the earliest live heap event, draining canceled ones,
-// or nil when the heap is empty.
-//
-//ccsvm:hotpath
-func (e *Engine) peekOverflow() *Event {
-	for len(e.overflow) > 0 {
-		ev := e.overflow[0]
-		if !ev.canceled {
-			return ev
-		}
-		e.heapPopTop()
-		e.release(ev)
-	}
-	return nil
-}
-
-// refill recomputes the cached next candidate from the two queue levels. It
-// runs only when the cache is cold: at the start of a drain, after an
-// insert-before-next or a Cancel of the candidate, and when a bucket empties
-// or goes unsorted under the fused pop.
-//
-//ccsvm:hotpath
-func (e *Engine) refill() *Event {
-	cev := e.peekCal()
-	hev := e.peekOverflow()
-	switch {
-	case cev == nil:
-		e.next = hev
-	case hev == nil || eventLess(cev, hev):
-		e.next = cev
-	default:
-		e.next = hev
-	}
-	return e.next
-}
-
-// pop removes the cached candidate ev from its container and eagerly promotes
-// its bucket successor when that is provably the global next: the bucket is
-// still sorted from head and its new head precedes the heap minimum (heap[0]
-// lower-bounds every heap event, canceled or not). Anything scheduled or
-// canceled by the subsequent callback that could displace the promoted
-// candidate invalidates the cache through insert/Cancel.
-//
-//ccsvm:hotpath
-func (e *Engine) pop(ev *Event) {
-	e.next = nil
-	if ev.index == indexBucketed {
-		// refill/promotion left calScan at this event's bucket, with the
-		// event at the bucket head.
-		bk := &e.cal[e.calScan&calBucketMask]
-		bk.events[bk.head] = nil
-		bk.head++
-		e.calCount--
-		ev.index = indexFiring
-		if bk.sorted && bk.head < len(bk.events) {
-			if c := bk.events[bk.head]; !c.canceled &&
-				(len(e.overflow) == 0 || eventLess(c, e.overflow[0])) {
-				e.next = c
-			}
-		}
-	} else {
-		e.heapPopTop()
-	}
-}
-
 // Step runs the single next event. It returns false when the queue is empty.
-//
-// This is the fused dispatch path: one cached-candidate load (or one refill
-// when cold), one pop with successor promotion, one unconditional trace mix,
-// one callback.
 //
 //ccsvm:hotpath
 func (e *Engine) Step() bool {
-	ev := e.next
+	ev := e.peek()
 	if ev == nil {
-		if ev = e.refill(); ev == nil {
-			return false
-		}
+		return false
 	}
-	e.pop(ev)
+	e.hole = true // ev's slot waits for the callback's first schedule
 	e.now = ev.when
 	e.traceHash = fnvMix(fnvMix(e.traceHash, uint64(ev.when)), ev.seq)
 	fn, arg := ev.fn, ev.arg
@@ -590,41 +421,14 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue is empty or Stop is called.
-//
-// The loop batch-drains through the cached candidate: while the current
-// bucket stays sorted, each iteration is a pointer load, a pop, and the
-// callback. The executed counter is hoisted out of the per-event path and
-// flushed when the loop exits, so Executed() observed from inside a callback
-// during Run may lag; it is exact whenever Run (or Step, which machines
-// drive directly) returns.
 func (e *Engine) Run() {
 	e.stopped = false
-	fired := uint64(0)
-	for !e.stopped {
-		ev := e.next
-		if ev == nil {
-			if ev = e.refill(); ev == nil {
-				break
-			}
-		}
-		e.pop(ev)
-		e.now = ev.when
-		e.traceHash = fnvMix(fnvMix(e.traceHash, uint64(ev.when)), ev.seq)
-		fn, arg := ev.fn, ev.arg
-		e.release(ev)
-		e.pending--
-		fired++
-		fn(arg)
+	for !e.stopped && e.Step() {
 	}
-	e.executed += fired
 }
 
 // RunUntil executes events with times <= deadline. Events scheduled beyond
 // the deadline remain queued. It returns the number of events executed.
-//
-// The deadline check reads the cached next candidate — maintained across the
-// contained Steps — instead of re-deriving the queue front with a full peek
-// per iteration.
 //
 // When the loop drains normally (queue empty or next event past the
 // deadline), simulated time fast-forwards to the deadline. When Stop ends the
@@ -635,13 +439,7 @@ func (e *Engine) RunUntil(deadline Time) int {
 	e.stopped = false
 	n := 0
 	for !e.stopped {
-		next := e.next
-		if next == nil {
-			if next = e.refill(); next == nil {
-				break
-			}
-		}
-		if next.when > deadline {
+		if next := e.peek(); next == nil || next.when > deadline {
 			break
 		}
 		e.Step()
@@ -652,9 +450,6 @@ func (e *Engine) RunUntil(deadline Time) int {
 	}
 	return n
 }
-
-// RunFor executes events for the given duration from the current time.
-func (e *Engine) RunFor(d Duration) int { return e.RunUntil(e.now.Add(d)) }
 
 // Stop makes Run/RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestEngineRunUntilStopRegression is the regression test for the time-travel
@@ -66,7 +68,7 @@ func TestEngineRunUntilStopThenResume(t *testing.T) {
 
 // refEngine is a deliberately naive event queue — a flat slice scanned for
 // the (time, seq) minimum on every step — used as the specification the
-// calendar-queue/pooled engine must match, including RunUntil/Stop semantics
+// heap-queue/pooled engine must match, including RunUntil/Stop semantics
 // and the (time, seq) trace hash.
 type refEngine struct {
 	now     Time
@@ -148,7 +150,7 @@ func (r *refEngine) runUntil(deadline Time) int {
 
 // TestEngineMatchesReferenceModel drives the production engine and the naive
 // reference through the same randomized workload — a mix of near-future
-// (calendar) and far-future (overflow heap) delays, nested scheduling from
+// (under 3 ns) and far-future (up to 500 ns) delays, nested scheduling from
 // callbacks, and cancellations — and requires the exact same execution order.
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	// Both runs draw identical schedule/cancel decisions from the same rng
@@ -159,13 +161,13 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		order  []int
 		nextID int
 	}
-	// randomDelay mixes delays inside the ~65 ns calendar window with delays
-	// far beyond it, so both queue levels are exercised.
+	// randomDelay mixes near-future delays under 3 ns with far-future ones
+	// up to 500 ns, so the heap holds both crowded and spread-out keys.
 	randomDelay := func(rng *rand.Rand) Duration {
 		if rng.Intn(4) == 0 {
-			return Duration(rng.Intn(500_000)) // far future: overflow heap
+			return Duration(rng.Intn(500_000)) // far future: sparse keys
 		}
-		return Duration(rng.Intn(3_000)) // near future: calendar buckets
+		return Duration(rng.Intn(3_000)) // near future: crowded keys
 	}
 
 	// Handles are dropped (nilled) when their event fires or is canceled, per
@@ -287,6 +289,96 @@ func TestEngineSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocated %v objects/op, want 0", allocs)
+	}
+}
+
+// delayShare is one recorded schedule delay and how many times a series
+// scheduled it.
+type delayShare struct {
+	d     Duration
+	count int
+}
+
+// engineQueueMixes are schedule-delay mixes recorded from four paper series
+// at seed 42. Each lists the series' eight most common delays with how often
+// each was scheduled (together 94.6-99.5% of its schedules); depth is its
+// mean number of pending events when an event fires. Near-future delays
+// dominate every mix by count. What differs is what the queue holds: the
+// CCSVM series and APSP/opencl keep a shallow queue, while matmul/opencl's
+// 2.2 us kernel delays leave nearly all of its ~970 pending events far in
+// the future, under the few near-future ones at the top.
+var engineQueueMixes = []struct {
+	name   string
+	depth  int
+	delays []delayShare
+}{
+	{"matmul_ccsvm_n32", 10, []delayShare{
+		{1667, 67016}, {208, 64613}, {2333, 2464}, {200, 2014},
+		{7667, 1995}, {106688, 1024}, {3450, 980}, {416, 404}}},
+	{"sparse_ccsvm_n48_d0.06", 31, []delayShare{
+		{1667, 54942}, {2333, 54348}, {208, 48746}, {106688, 42036},
+		{200, 40188}, {7667, 33553}, {3450, 15688}, {690, 5051}}},
+	{"apsp_opencl_n20", 20, []delayShare{
+		{2000, 17056}, {52, 16557}, {3334, 8000}, {1000, 1525},
+		{104, 205}, {156, 154}, {208, 111}, {72000, 80}}},
+	{"matmul_opencl_n32", 972, []delayShare{
+		{2000, 66560}, {52, 65541}, {2195448, 30720}, {1000, 5760},
+		{2197500, 3072}, {106688, 1024}, {72000, 385}, {4600, 384}}},
+}
+
+// drawDelay picks one of shares with probability proportional to weight(s).
+func drawDelay(rng *rand.Rand, shares []delayShare, weight func(delayShare) int64) delayShare {
+	var total int64
+	for _, s := range shares {
+		total += weight(s)
+	}
+	r := rng.Int63n(total)
+	for _, s := range shares {
+		if r < weight(s) {
+			return s
+		}
+		r -= weight(s)
+	}
+	panic("unreachable")
+}
+
+// BenchmarkEngineQueue times one schedule+dispatch on each recorded mix. The
+// queue starts in the steady state the mix implies at its depth: by Little's
+// law a delay's share of the pending events is its count times its length,
+// and each pending event has a uniform part of its delay left. Every
+// dispatched event is then replaced by one whose delay is drawn by count.
+// On matmul/opencl about 925 of the 972 pending events then lie over
+// 100 ns ahead and fewer than ten within 10 ns.
+func BenchmarkEngineQueue(b *testing.B) {
+	byCount := func(s delayShare) int64 { return int64(s.count) }
+	byLength := func(s delayShare) int64 { return int64(s.count) * int64(s.d) }
+	for _, mix := range engineQueueMixes {
+		rng := rand.New(rand.NewSource(1))
+		delays := make([]Duration, 4096)
+		for i := range delays {
+			delays[i] = drawDelay(rng, mix.delays, byCount).d
+		}
+		b.Run(fmt.Sprintf("%s/depth=%d", mix.name, mix.depth), func(b *testing.B) {
+			e := NewEngine()
+			rng := rand.New(rand.NewSource(2))
+			for i := 0; i < mix.depth; i++ {
+				left := 1 + rng.Int63n(int64(drawDelay(rng, mix.delays, byLength).d))
+				e.ScheduleArg(Duration(left), nopArg, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.ScheduleArg(delays[i%len(delays)], nopArg, nil)
+				e.Step()
+			}
+		})
+	}
+}
+
+// TestEventSize pins the Event at 48 bytes, under one cache line.
+func TestEventSize(t *testing.T) {
+	if s := unsafe.Sizeof(Event{}); s != 48 {
+		t.Fatalf("sizeof(Event) = %d, want 48", s)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +159,54 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineExecutedInsideRun checks that Executed() is exact when read from
+// a callback during Run: the running event already counts.
+func TestEngineExecutedInsideRun(t *testing.T) {
+	e := NewEngine()
+	var seen []uint64
+	for i := 0; i < 3; i++ {
+		e.Schedule(Duration(10*i), func() { seen = append(seen, e.Executed()) })
+	}
+	e.Run()
+	if len(seen) != 3 || seen[0] != 1 || seen[1] != 2 || seen[2] != 3 {
+		t.Fatalf("Executed() inside callbacks = %v, want [1 2 3]", seen)
+	}
+}
+
+// TestEngineFiredSlotReuse drives the root slot Step leaves behind through
+// each way it can be filled: a first schedule from the callback (later and
+// earlier than the rest of the queue), a schedule that is then canceled, no
+// schedule at all, and a Stop that leaves the slot for the next Run.
+func TestEngineFiredSlotReuse(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	mark := func(s string) func() { return func() { got = append(got, s) } }
+	e.Schedule(10, func() {
+		got = append(got, "a")
+		e.Schedule(100, mark("late"))
+		e.Schedule(1, mark("b"))
+	})
+	e.Schedule(20, func() {
+		got = append(got, "c")
+		e.Cancel(e.Schedule(1, mark("canceled")))
+		e.Stop()
+	})
+	e.Schedule(30, mark("d"))
+	e.Schedule(40, mark("e"))
+	e.Run()
+	if e.Pending() != 3 {
+		t.Fatalf("Pending() after Stop = %d, want 3", e.Pending())
+	}
+	e.Run()
+	want := []string{"a", "b", "c", "d", "e", "late"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if e.LiveEvents() != 0 || e.Pending() != 0 {
+		t.Fatalf("drained engine: LiveEvents %d, Pending %d", e.LiveEvents(), e.Pending())
+	}
+}
+
 // TestEngineDeterminism is a property test: any batch of scheduled events
 // executes in the same order regardless of how the random delays were drawn,
 // when replayed with the same seed.
@@ -280,8 +329,8 @@ func TestPendingCounter(t *testing.T) {
 	// RunUntil leaves later events pending.
 	e.Schedule(5, func() {})
 	e.Schedule(500, func() {})
-	e.RunFor(10)
+	e.RunUntil(e.Now().Add(10))
 	if e.Pending() != 1 {
-		t.Fatalf("after RunFor Pending() = %d, want 1", e.Pending())
+		t.Fatalf("after RunUntil Pending() = %d, want 1", e.Pending())
 	}
 }

@@ -143,7 +143,7 @@ func runQueueScript(t *testing.T, script []byte, q queueUnderTest) scriptResult 
 		case 5:
 			scheduleStop(scriptDelay(b))
 		case 6:
-			scheduleClosure(scriptDelay(b | 0x80)) // force the overflow heap
+			scheduleClosure(scriptDelay(b | 0x80)) // force a far-future delay
 		}
 	}
 	q.drain()
@@ -194,8 +194,8 @@ func runScriptBothWays(t *testing.T, script []byte) {
 
 // FuzzEngineQueue feeds a byte-encoded script — interleaved schedule (At),
 // AtArg, Cancel, RunUntil and Stop actions plus nested scheduling from
-// callbacks — to the production engine (calendar ring + overflow heap + event
-// pool + cached next candidate) and to the naive refEngine specification, and
+// callbacks — to the production engine (4-ary event heap + lazy cancel +
+// event pool) and to the naive refEngine specification, and
 // requires bit-identical execution: the same (time, seq) firing order, the
 // same per-RunUntil event counts, the same final simulated time, and the same
 // trace hash. It also asserts the event pool's live-object count returns to
@@ -206,7 +206,7 @@ func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{0x03, 0x03, 0x03, 0x80, 0x80, 0x41, 0x02, 0x9f, 0x60, 0x33})
 	// RunUntil slicing a schedule into segments, with a Stop landing mid-run.
 	f.Add([]byte{0x00, 0x09, 0x85, 0x0c, 0x11, 0x04, 0x30, 0x2c, 0x06, 0x84})
-	// Cancel racing the cached candidate: schedule, cancel, reschedule, run.
+	// Cancel racing the heap top: schedule, cancel, reschedule, run.
 	f.Add([]byte{0x08, 0x02, 0x10, 0x0a, 0x04, 0x12, 0x86, 0x05, 0x44})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
@@ -233,14 +233,14 @@ func TestEngineQueueScriptProperty(t *testing.T) {
 	}
 }
 
-// scriptDelay maps an action byte to a delay that lands in the calendar
-// window (low bytes) or the overflow heap (high bytes), so both queue levels
-// are exercised by most scripts.
+// scriptDelay maps an action byte to a near-future delay under 5.1 ns (low
+// bytes) or a far-future one beyond 70 ns (high bytes), so most scripts mix
+// crowded and spread-out heap keys.
 func scriptDelay(b byte) Duration {
 	if b&0x80 != 0 {
-		return Duration(int(b&0x7f))*2048 + 70_000 // beyond the ~65 ns window
+		return Duration(int(b&0x7f))*2048 + 70_000 // far future, beyond 70 ns
 	}
-	return Duration(int(b) * 40) // inside the calendar ring
+	return Duration(int(b) * 40) // near future
 }
 
 // TestEngineLiveEventsAccounting pins the live-event pool accounting: queued

@@ -350,6 +350,28 @@ func TestHandlerErrors(t *testing.T) {
 	})
 }
 
+// TestOutOfRangeParamsAre422: workload parameters the workload cannot run
+// with are rejected while the spec resolves, as 422 out_of_range, before
+// they take a simulation slot or count as a server error.
+func TestOutOfRangeParamsAre422(t *testing.T) {
+	s, ts := newTestServer(t, sweepd.Config{})
+	for _, body := range []string{
+		`{"workload":"matmul","system":"ccsvm","params":{"n":-1}}`,
+		`{"workload":"sparse","system":"ccsvm","params":{"n":16,"density":1.5}}`,
+	} {
+		status, _, raw := post(t, ts.URL+"/run", body)
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422 (body %s)", body, status, raw)
+		}
+		if kind := errKind(t, raw); kind != "out_of_range" {
+			t.Fatalf("%s: kind = %q, want out_of_range", body, kind)
+		}
+	}
+	if st := s.Stats(); st.Runs != 0 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want no runs and no errors", st)
+	}
+}
+
 // TestPanickingSimulationFreesSlot: a simulation that panics answers 500,
 // and neither wedges its content address nor leaks its simulation slot. With
 // one slot, a leak would block every later miss; a wedged address would

@@ -31,7 +31,8 @@ var (
 	// ErrBadValue reports a value that does not parse as the field's type.
 	ErrBadValue = errors.New("value does not parse as the field's type")
 	// ErrOutOfRange reports a value that parsed but leaves the configuration
-	// structurally invalid (for example a zero core count).
+	// structurally invalid (for example a zero core count), or a workload
+	// parameter the workload cannot run with (see Workload.CheckParams).
 	ErrOutOfRange = errors.New("value leaves the configuration out of range")
 	// ErrMachineMismatch reports an override whose root ("ccsvm." or "apu.")
 	// names the machine the target System does not run on.

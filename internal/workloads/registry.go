@@ -144,20 +144,31 @@ func (w *Workload) SystemKinds() []SystemKind {
 	return out
 }
 
+// CheckParams reports parameters the workload cannot run with: a negative
+// problem size, or, on a workload that reads it, a density outside [0,1].
+// The error wraps ErrOutOfRange.
+func (w *Workload) CheckParams(p Params) error {
+	if p.N < 0 {
+		return fmt.Errorf("%s: %w: problem size must be non-negative, got n=%d", w.Name, ErrOutOfRange, p.N)
+	}
+	if w.UsesDensity && !(p.Density >= 0 && p.Density <= 1) {
+		return fmt.Errorf("%s: %w: density must be in [0,1], got %v", w.Name, ErrOutOfRange, p.Density)
+	}
+	return nil
+}
+
 // Run executes the workload on the system. Unsupported pairs return an error
-// wrapping ErrUnsupportedPair; out-of-range parameters return a plain error
-// instead of panicking inside the simulator.
+// wrapping ErrUnsupportedPair; out-of-range parameters (see CheckParams)
+// return an error wrapping ErrOutOfRange instead of panicking inside the
+// simulator.
 func (w *Workload) Run(sys System, p Params) (Result, error) {
 	fn, ok := w.Runners[sys.Kind]
 	if !ok {
 		return Result{}, fmt.Errorf("%s on %s: %w (supported: %v)",
 			w.Name, sys.Kind, ErrUnsupportedPair, w.SystemKinds())
 	}
-	if p.N < 0 {
-		return Result{}, fmt.Errorf("%s: problem size must be non-negative, got n=%d", w.Name, p.N)
-	}
-	if w.UsesDensity && (p.Density < 0 || p.Density > 1) {
-		return Result{}, fmt.Errorf("%s: density must be in [0,1], got %v", w.Name, p.Density)
+	if err := w.CheckParams(p); err != nil {
+		return Result{}, err
 	}
 	return fn(sys, p)
 }

@@ -70,7 +70,8 @@ var (
 // provenance. An empty preset means the kind's Table 2 default
 // configuration; an empty kind with a preset means the preset's default
 // system. Failures are typed: ErrUnknownWorkload, ErrUnknownPreset,
-// ErrUnknownSystem, ErrUnsupportedPair, or an OverrideError.
+// ErrUnknownSystem, ErrUnsupportedPair, ErrOutOfRange for params the
+// workload cannot run with (see Workload.CheckParams), or an OverrideError.
 func BuildSpec(workload string, kind SystemKind, preset string, overrides []string, p Params) (RunSpec, error) {
 	w, ok := Lookup(workload)
 	if !ok {
@@ -101,6 +102,9 @@ func BuildSpec(workload string, kind SystemKind, preset string, overrides []stri
 	if !w.Supports(kind) {
 		return RunSpec{}, fmt.Errorf("%s on %s: %w (supported: %v)",
 			workload, kind, ErrUnsupportedPair, w.SystemKinds())
+	}
+	if err := w.CheckParams(p); err != nil {
+		return RunSpec{}, err
 	}
 	if err := ApplyOverrides(&sys, overrides); err != nil {
 		return RunSpec{}, err
