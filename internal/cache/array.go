@@ -64,7 +64,8 @@ func (c Config) NumSets() int {
 // data, only tags and state; functional data lives in mem.Physical.
 type Array struct {
 	cfg Config
-	// sets[i] holds set i's materialised ways, in way order. A set is nil
+	// sets[i] holds set i's materialised ways, in way order. The table
+	// itself is nil until the first Allocate into the array. A set is nil
 	// until the first Allocate into it; it then grows one way at a time
 	// within the Assoc-way capacity it was carved with, so it never moves.
 	sets [][]Line
@@ -78,16 +79,16 @@ type Array struct {
 // slabSets is how many sets' worth of ways one slab allocation holds.
 const slabSets = 16
 
-// NewArray builds an array from the configuration. Only the set table is
-// allocated here: a set's ways are carved out of a shared slab on the first
-// Allocate into it, and a slab holds min(numSets, 16) sets. A machine builds
-// dozens of arrays, megabytes of tags in all, and a run touches only a small
-// part of them; slabs keep the sets a run does touch from costing one
-// allocation each. Slabs never move, so a *Line stays valid for the life of
-// the array.
+// NewArray builds an array from the configuration. Nothing but the Array
+// itself is allocated here: the set table is made on the first Allocate
+// into the array, and a set's ways are carved out of a shared slab on the
+// first Allocate into that set, a slab holding min(numSets, 16) sets. A
+// machine builds dozens of arrays, megabytes of tags in all, and a run
+// touches only a small part of them, many not at all; slabs keep the sets a
+// run does touch from costing one allocation each. Slabs never move, so a
+// *Line stays valid for the life of the array.
 func NewArray(cfg Config) *Array {
-	numSets := cfg.NumSets()
-	return &Array{cfg: cfg, sets: make([][]Line, numSets), numSets: numSets}
+	return &Array{cfg: cfg, numSets: cfg.NumSets()}
 }
 
 // Config returns the array configuration.
@@ -103,7 +104,13 @@ func (a *Array) SetIndex(addr mem.LineAddr) int {
 //
 //ccsvm:hotpath
 func (a *Array) Lookup(addr mem.LineAddr) *Line {
-	set := a.sets[a.SetIndex(addr)]
+	// The table is empty until the first Allocate; this comparison stands
+	// in for the bounds check the index would otherwise get.
+	idx := a.SetIndex(addr)
+	if uint(idx) >= uint(len(a.sets)) {
+		return nil
+	}
+	set := a.sets[idx]
 	for i := range set {
 		if set[i].Valid && set[i].Addr == addr {
 			return &set[i]
@@ -144,7 +151,12 @@ func (a *Array) Allocate(addr mem.LineAddr) (line *Line, victim Line, evicted bo
 	if l := a.Lookup(addr); l != nil {
 		panic(fmt.Sprintf("cache: %s allocate of already-present %v", a.cfg.Name, addr))
 	}
+	// Take the index before the table may be made: with that store in
+	// between, the compiler divides again instead of reusing Lookup's index.
 	idx := a.SetIndex(addr)
+	if a.sets == nil {
+		a.sets = make([][]Line, a.numSets) //ccsvm:allocok // once per array, on its first fill
+	}
 	set := a.sets[idx]
 	// Prefer an empty way.
 	var candidate *Line

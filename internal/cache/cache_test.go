@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,48 @@ func TestArrayLookupTouchAllocate(t *testing.T) {
 	if a.Lookup(addr) != nil {
 		t.Fatal("lookup after invalidate should be nil")
 	}
+}
+
+// arraySink keeps NewArray's result on the heap in TestUntouchedArray.
+var arraySink *Array
+
+// TestUntouchedArray pins that an array costs nothing beyond its header
+// until the first Allocate: NewArray allocates as many bytes for 4096 sets
+// as for one, and an array never allocated into finds nothing, holds
+// nothing and visits nothing.
+func TestUntouchedArray(t *testing.T) {
+	newBytes := func(cfg Config) uint64 {
+		const builds = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < builds; i++ {
+			arraySink = NewArray(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / builds
+	}
+	oneSet := Config{SizeBytes: 4 * mem.LineSize, Assoc: 4, Name: "one-set"}
+	wide := Config{SizeBytes: 4096 * 4 * mem.LineSize, Assoc: 4, Name: "4096-sets"}
+	// A set table for 4096 sets would be 96 KiB; the slack only absorbs a
+	// stray allocation elsewhere in the process during the builds.
+	if small, large := newBytes(oneSet), newBytes(wide); large > small+1024 {
+		t.Fatalf("NewArray allocates %d bytes for 4096 sets, %d for one: want the same", large, small)
+	}
+
+	a := NewArray(wide)
+	for _, addr := range []mem.LineAddr{0, 1, 4095, 4096, 1 << 40} {
+		if l := a.Lookup(addr); l != nil {
+			t.Fatalf("Lookup(%d) on an untouched array = %+v, want nil", addr, *l)
+		}
+		if l := a.Touch(addr); l != nil {
+			t.Fatalf("Touch(%d) on an untouched array = %+v, want nil", addr, *l)
+		}
+		a.Invalidate(addr)
+	}
+	if n := a.Occupancy(); n != 0 {
+		t.Fatalf("Occupancy of an untouched array = %d, want 0", n)
+	}
+	a.ForEach(func(l *Line) { t.Fatalf("ForEach on an untouched array visited %+v", *l) })
 }
 
 func TestArrayDoubleAllocatePanics(t *testing.T) {

@@ -119,7 +119,8 @@ const (
 // checkAgainstReference applies ops to an Array and a refArray side by side
 // and fails on the first observable difference. Each op is (kind, addr,
 // state); addresses are taken modulo four times the array's capacity so
-// sets see evictions.
+// sets see evictions. Lookup is compared before every op, the first one
+// included, so every sequence looks up an array before its first Allocate.
 func checkAgainstReference(t testing.TB, cfg Config, ops [][3]int) {
 	t.Helper()
 	got, want := NewArray(cfg), newRefArray(cfg)
@@ -205,6 +206,9 @@ func FuzzArrayReference(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 6, 0, 17, 6, 0, 33, 6, 0, 49, 6, 0, 65, 0, 2, 17, 0})
 	f.Add([]byte{3, 0, 3, 0, 0, 23, 0, 0, 43, 0, 2, 3, 0, 0, 63, 0, 4, 23, 0})
 	f.Add([]byte{4, 0, 0, 0, 0, 64, 0, 0, 128, 0, 0, 192, 1, 0, 0, 0, 0, 255, 9})
+	// Invalidate, touch, set state and set dirty on an array before its
+	// first Allocate, then fill the address they named.
+	f.Add([]byte{2, 2, 5, 0, 1, 5, 0, 3, 5, 2, 4, 5, 0, 0, 5, 1, 2, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -542,20 +542,56 @@ func TestHangDetection(t *testing.T) {
 	}
 }
 
-// TestNewMachineConstructionBytes guards what building a Table 2 chip
-// allocates: well under 1 MiB, because cache arrays materialise a set only on
-// its first fill. With every way of every array allocated up front it was
-// about 2.7 MiB.
-func TestNewMachineConstructionBytes(t *testing.T) {
-	NewMachine(DefaultConfig()).Shutdown() // one-time package state
+// constructionBytes reports the mean bytes NewMachine(cfg) allocates over
+// a few builds, after one untimed build has set up package state.
+func constructionBytes(cfg Config) uint64 {
+	NewMachine(cfg).Shutdown()
 	const builds = 4
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < builds; i++ {
-		NewMachine(DefaultConfig()).Shutdown()
+		NewMachine(cfg).Shutdown()
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > 1<<20 {
-		t.Fatalf("NewMachine(DefaultConfig()) allocates %d KiB, want at most 1024 KiB", per>>10)
+	return (after.TotalAlloc - before.TotalAlloc) / builds
+}
+
+// constructionCeiling bounds what building the Table 2 chip may allocate.
+const constructionCeiling = 128 << 10
+
+// TestNewMachineConstructionBytes guards what building a Table 2 chip
+// allocates. Nothing that a run may never touch is built up front: a cache
+// array makes its set table on its first fill and a set its ways on the
+// set's first fill, an MTTOP core builds a hardware context when a thread
+// first needs one, and a TLB's map grows with its entries. It is about
+// 70 KiB. With every way of every array allocated up front it was about
+// 2.7 MiB; with set tables, all 1280 MTTOP contexts and 64-entry TLB maps
+// built up front it was about 441 KiB.
+func TestNewMachineConstructionBytes(t *testing.T) {
+	if per := constructionBytes(DefaultConfig()); per > constructionCeiling {
+		t.Fatalf("NewMachine(DefaultConfig()) allocates %d KiB, want at most %d KiB",
+			per>>10, constructionCeiling>>10)
+	}
+}
+
+// TestHostileContextCountConstructionBytes builds the Table 2 chip with
+// 16384 contexts per MTTOP core, an override a caller can send: since
+// contexts are built on demand, construction costs no more than the default
+// chip's. With every context built up front it allocated about 22 MiB.
+func TestHostileContextCountConstructionBytes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MTTOPContexts = 1 << 14
+	if per := constructionBytes(cfg); per > constructionCeiling {
+		t.Fatalf("NewMachine with %d MTTOP contexts allocates %d KiB, want at most %d KiB",
+			cfg.MTTOPContexts, per>>10, constructionCeiling>>10)
+	}
+}
+
+// BenchmarkNewMachine builds and shuts down the Table 2 chip.
+func BenchmarkNewMachine(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		NewMachine(cfg).Shutdown()
 	}
 }

@@ -32,14 +32,20 @@ type Config struct {
 
 // hwContext is one hardware thread context. A context runs one operation at
 // a time, so the in-flight op's state lives here and the per-op callbacks
-// (translateCb, accessCb) are bound once, when the context first runs a
-// thread — the hot issue/translate/access path allocates nothing per
-// operation, and contexts a run never uses cost no closures.
+// (translateCb, accessCb) are bound once, when the context is built — the
+// hot issue/translate/access path allocates nothing per operation.
+//
+// A core builds its contexts on demand: StartThread reuses an idle one from
+// the free list and builds a new one only when none is idle, so a core holds
+// as many contexts as its run ever had running at once, not NumContexts.
+// Contexts are carved from slabs and never move, because events and the
+// bound callbacks hold *hwContext.
 type hwContext struct {
-	idx    int
 	thread *exec.Thread
 	onDone func()
 	busy   bool
+	// nextFree links the idle contexts of the core's free list.
+	nextFree *hwContext
 
 	op exec.Op
 	pa mem.PAddr
@@ -51,6 +57,9 @@ type hwContext struct {
 	stepFn      func()
 }
 
+// contextSlab is how many contexts one slab allocation holds.
+const contextSlab = 8
+
 // Core is one MTTOP core.
 type Core struct {
 	engine *sim.Engine
@@ -60,8 +69,12 @@ type Core struct {
 	phys   *mem.Physical
 	faults FaultHandler
 
-	contexts []hwContext
-	free     []int
+	// free is the list of idle contexts, linked through nextFree; slab is
+	// the not yet carved tail of the current slab; live counts the contexts
+	// running threads.
+	free *hwContext
+	slab []hwContext
+	live int
 	// issueFree is the shared issue-bandwidth bucket: each operation reserves
 	// 1/IssueWidth of a cycle.
 	issueFree sim.Time
@@ -85,18 +98,12 @@ func New(engine *sim.Engine, cfg Config, port mem.Port, mmu *vm.MMU, phys *mem.P
 		panic(fmt.Sprintf("mttop: invalid config for %s", cfg.Name))
 	}
 	c := &Core{
-		engine:   engine,
-		cfg:      cfg,
-		port:     port,
-		mmu:      mmu,
-		phys:     phys,
-		faults:   faults,
-		contexts: make([]hwContext, cfg.NumContexts),
-	}
-	c.free = make([]int, cfg.NumContexts)
-	for i := range c.contexts {
-		c.contexts[i].idx = i
-		c.free[i] = i
+		engine: engine,
+		cfg:    cfg,
+		port:   port,
+		mmu:    mmu,
+		phys:   phys,
+		faults: faults,
 	}
 	c.completeFn = func(a any) { c.completeOp(a.(*hwContext), exec.Result{}) }
 	c.memIssueFn = func(a any) { c.memAccess(a.(*hwContext)) }
@@ -114,7 +121,7 @@ func (c *Core) Config() Config { return c.cfg }
 func (c *Core) MMU() *vm.MMU { return c.mmu }
 
 // FreeContexts reports how many hardware thread contexts are available.
-func (c *Core) FreeContexts() int { return len(c.free) }
+func (c *Core) FreeContexts() int { return c.cfg.NumContexts - c.live }
 
 // FlushTLB flushes the core's TLB (the MIFD broadcasts this on shootdown).
 func (c *Core) FlushTLB() {
@@ -129,16 +136,15 @@ func (c *Core) FlushTLB() {
 // It panics if no context is free; the MIFD checks FreeContexts before
 // dispatching.
 func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
-	if len(c.free) == 0 {
+	if c.live == c.cfg.NumContexts {
 		panic(fmt.Sprintf("%s: StartThread with no free contexts", c.cfg.Name))
 	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	h := &c.contexts[idx]
-	if h.stepFn == nil {
-		h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
-		h.accessCb = func() { c.accessDone(h) }
-		h.stepFn = func() { c.stepContext(h) }
+	c.live++
+	h := c.free
+	if h != nil {
+		c.free = h.nextFree
+	} else {
+		h = c.newContext()
 	}
 	h.thread = t
 	h.onDone = onDone
@@ -156,7 +162,22 @@ func (c *Core) StartThread(t *exec.Thread, cr3 mem.PAddr, onDone func()) {
 }
 
 // BusyContexts reports how many contexts are currently running threads.
-func (c *Core) BusyContexts() int { return c.cfg.NumContexts - len(c.free) }
+func (c *Core) BusyContexts() int { return c.live }
+
+// newContext builds a context and binds its callbacks. It is called only
+// when every context built so far is running a thread, so a core never
+// builds more than NumContexts; a slab holds min(NumContexts, contextSlab).
+func (c *Core) newContext() *hwContext {
+	if len(c.slab) == 0 {
+		c.slab = make([]hwContext, min(c.cfg.NumContexts, contextSlab))
+	}
+	h := &c.slab[0]
+	c.slab = c.slab[1:]
+	h.translateCb = func(pa mem.PAddr, fault *vm.Fault) { c.translated(h, pa, fault) }
+	h.accessCb = func() { c.accessDone(h) }
+	h.stepFn = func() { c.stepContext(h) }
+	return h
+}
 
 // stepContext pulls and executes the next operation of one context's thread.
 // When the thread has not published it yet (NextWait), the fetch registers
@@ -187,7 +208,9 @@ func (c *Core) finishContext(h *hwContext) {
 	h.thread = nil
 	h.onDone = nil
 	h.busy = false
-	c.free = append(c.free, h.idx)
+	h.nextFree = c.free
+	c.free = h
+	c.live--
 	if err := t.Err(); err != nil {
 		panic(fmt.Sprintf("%s: MTTOP thread %q failed: %v", c.cfg.Name, t.Name(), err))
 	}

@@ -1,6 +1,7 @@
 package mttop_test
 
 import (
+	"runtime"
 	"testing"
 
 	"ccsvm/internal/exec"
@@ -87,6 +88,63 @@ func TestContextAllocationAndReuse(t *testing.T) {
 	if got, _ := r.reg.Lookup("mt0.threads_run"); got != 3 {
 		t.Fatalf("threads_run = %d, want 3", got)
 	}
+}
+
+// TestContextsBuiltOnDemand pins that a core builds hardware contexts only
+// as its threads need them: construction costs the same for 8 contexts as
+// for 4096, k threads run one after another share one context, and two
+// threads running at once build two, with FreeContexts and BusyContexts
+// exact throughout.
+func TestContextsBuiltOnDemand(t *testing.T) {
+	newBytes := func(contexts int) uint64 {
+		const builds = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < builds; i++ {
+			mttop.New(sim.NewEngine(), mttop.Config{
+				Clock:       sim.NewClock("mttop", 1e9),
+				NumContexts: contexts,
+				IssueWidth:  8,
+				Name:        "mt0",
+			}, nil, nil, nil, nil, stats.NewRegistry("test"))
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / builds
+	}
+	// Eagerly built, 4096 contexts cost over 500 KiB more than 8.
+	if small, large := newBytes(8), newBytes(4096); large > small+1024 {
+		t.Fatalf("mttop.New allocates %d bytes with 4096 contexts, %d with 8: want no dependence",
+			large, small)
+	}
+
+	r := newMTTOPRig(t, 8, 8)
+	check := func(when string, free, busy, idle int) {
+		t.Helper()
+		if got := r.core.FreeContexts(); got != free {
+			t.Fatalf("%s: FreeContexts = %d, want %d", when, got, free)
+		}
+		if got := r.core.BusyContexts(); got != busy {
+			t.Fatalf("%s: BusyContexts = %d, want %d", when, got, busy)
+		}
+		if got := r.core.IdleContexts(); got != idle {
+			t.Fatalf("%s: %d built contexts idle, want %d", when, got, idle)
+		}
+	}
+	check("fresh core", 8, 0, 0)
+	thread := func(id int) *exec.Thread {
+		return exec.NewThread(r.gate, id, "t", func(c *exec.Context) { c.Compute(10) })
+	}
+	for k := 0; k < 5; k++ {
+		r.core.StartThread(thread(k), 0, nil)
+		check("one thread running", 7, 1, 0)
+		r.gate.Drive(r.engine.Step)
+		check("sequential thread done", 8, 0, 1)
+	}
+	r.core.StartThread(thread(5), 0, nil)
+	r.core.StartThread(thread(6), 0, nil)
+	check("two threads running", 6, 2, 0)
+	r.gate.Drive(r.engine.Step)
+	check("concurrent threads done", 8, 0, 2)
 }
 
 // TestStartThreadWithoutFreeContextPanics pins the loud failure mode the MIFD

@@ -37,14 +37,15 @@ type TLB struct {
 	flushes *stats.Counter
 }
 
-// NewTLB builds a TLB.
+// NewTLB builds a TLB. Its map is not sized for cfg.Entries: it grows with
+// the translations a run inserts, and Flush keeps what it grew to.
 func NewTLB(cfg TLBConfig, reg *stats.Registry) *TLB {
 	if cfg.Entries <= 0 {
 		panic("vm: TLB needs at least one entry")
 	}
 	return &TLB{
 		cfg:     cfg,
-		entries: make(map[mem.PageNumber]*tlbEntry, cfg.Entries),
+		entries: make(map[mem.PageNumber]*tlbEntry),
 		hits:    reg.Counter(cfg.Name + ".hits"),
 		misses:  reg.Counter(cfg.Name + ".misses"),
 		flushes: reg.Counter(cfg.Name + ".flushes"),
