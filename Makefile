@@ -32,7 +32,7 @@ fmt:
 	gofmt -w $$(git ls-files '*.go')
 
 bench:
-	go run ./cmd/ccsvm-bench
+	go test -bench . -benchmem -run '^$$' .
 
 stress:
 	go run ./cmd/ccsvm-stress -seed 1 -ops 100000 -preset ccsvm-base

@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -78,4 +81,63 @@ func lintFile(t *testing.T, fset *token.FileSet, path string, file *ast.File) {
 			}
 		}
 	}
+}
+
+// mdName matches a Markdown file name, with any directory part, in comment
+// text.
+var mdName = regexp.MustCompile(`[\w./:-]+\.md\b`)
+
+// TestDocLintMarkdownRefs fails when a comment in a Go file of the root
+// module names a *.md file that the repository does not have, so a comment
+// cannot send a reader to a document that was never written or has since
+// been deleted. A name resolves against the repository root or the file's
+// own directory. Nested modules (perfbench) keep their own documents and are
+// skipped, as are URLs.
+func TestDocLintMarkdownRefs(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range file.Comments {
+			for _, name := range mdName.FindAllString(group.Text(), -1) {
+				if strings.Contains(name, "://") {
+					continue
+				}
+				if exists(name) || exists(filepath.Join(filepath.Dir(path), name)) {
+					continue
+				}
+				t.Errorf("%s: comment names %s, which is not in the repository", fset.Position(group.Pos()), name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exists reports whether path names a file.
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -5,12 +5,11 @@
 // is no shared virtual address space and no hardware coherence between CPU
 // caches and the GPU. The OpenCL-style runtime in package opencl drives it.
 //
-// The model is a documented substitution for the real A8-3850 hardware (see
-// DESIGN.md §5): it reproduces the structural costs that the paper's
-// measurements expose — off-chip staging of all CPU↔GPU communication,
-// expensive kernel launches and synchronization, large driver/JIT constants —
-// and the APU's structural advantages (higher CPU IPC, wider VLIW GPU,
-// coalesced GPU memory accesses).
+// The model is a documented substitution for the real A8-3850 hardware: it
+// reproduces the structural costs that the paper's measurements expose —
+// off-chip staging of all CPU↔GPU communication, expensive kernel launches
+// and synchronization, large driver/JIT constants — and the APU's structural
+// advantages (higher CPU IPC, wider VLIW GPU, coalesced GPU memory accesses).
 //
 //ccsvm:deterministic
 package apu

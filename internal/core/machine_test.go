@@ -11,7 +11,7 @@ import (
 )
 
 // TestTable2Configuration pins the default configuration to the paper's
-// Table 2 (experiment E1 in DESIGN.md).
+// Table 2 (`paper-figs -fig table2` prints it).
 func TestTable2Configuration(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {

@@ -1,11 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (the experiment index E1–E8 in DESIGN.md). Each figure
-// declares its sweep as a slice of ccsvm.RunSpec, executes it through the
-// facade's Runner — optionally fanning out across Options.Parallel workers;
-// every simulation is an independent engine, so the results are bit-identical
-// at any parallelism — and shapes the results into a text table with the same
-// rows/series the paper reports. cmd/paper-figs prints the tables and
-// EXPERIMENTS.md records a captured run.
+// evaluation section. Each figure declares its sweep as a slice of
+// ccsvm.RunSpec, executes it through the facade's Runner — optionally fanning
+// out across Options.Parallel workers; every simulation is an independent
+// engine, so the results are bit-identical at any parallelism — and shapes
+// the results into a text table with the same rows/series the paper reports.
+// cmd/paper-figs prints the tables.
 package experiments
 
 import (

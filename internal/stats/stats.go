@@ -1,7 +1,7 @@
 // Package stats provides the counters and report formatting used by every
 // component model. Components register named counters in a Registry; the
-// experiment harness snapshots registries to build the tables reported in
-// EXPERIMENTS.md.
+// experiment harness snapshots registries to build the tables that
+// cmd/paper-figs prints.
 package stats
 
 import (

@@ -154,7 +154,7 @@ func TestBarnesHutAllSystems(t *testing.T) {
 	// sequential tree build on the CCSVM chip's deliberately weak CPU
 	// dominates, so we only require CCSVM to be competitive here; the
 	// crossover where it wins outright is measured at the larger body counts
-	// of the Figure 7 sweep (see EXPERIMENTS.md).
+	// of the Figure 7 sweep (`paper-figs -fig 7`).
 	if pth.Time >= cpu1.Time {
 		t.Errorf("pthreads x4 (%v) should beat one CPU core (%v)", pth.Time, cpu1.Time)
 	}
